@@ -59,7 +59,7 @@ use std::time::Instant;
 
 use netbatch_core::policy::{InitialKind, StrategyKind};
 use netbatch_core::simulator::{Backend, SimConfig, SimOutput, Simulator};
-use netbatch_core::take_sharded_worker_busy_nanos;
+use netbatch_core::take_streaming_worker_busy_nanos;
 use netbatch_workload::scenarios::PerPoolParams;
 use netbatch_workload::trace::Trace;
 use netbatch_workload::WorkloadSpec;
@@ -227,13 +227,13 @@ fn run_streaming_round(
     config.backend = Backend::Sharded { shards };
     config.stream_pipeline = pipeline;
     let sim = Simulator::new(&p.build_site(), Vec::new(), config);
-    take_sharded_worker_busy_nanos();
+    take_streaming_worker_busy_nanos();
     let baseline = reset_peak();
     let start = Instant::now();
     let out = sim.run_streaming(workload, p.seed);
     let wall = start.elapsed().as_secs_f64();
     let peak = peak_since(baseline);
-    let busy = take_sharded_worker_busy_nanos() as f64 * 1e-9;
+    let busy = take_streaming_worker_busy_nanos() as f64 * 1e-9;
     (out, wall, busy, peak)
 }
 

@@ -13,10 +13,9 @@
 //! inputs that chose the target pool, or the retry attempt number.
 //!
 //! Determinism: the recorder consumes only `(time, event)` — never the
-//! mid-stream [`ObsCtx`] — so the sharded backend's replay seam
-//! ([`SimObserver::on_replayed_event`]) produces byte-identical span
-//! trees at every shard count (differentially tested at shards
-//! {1, 2, 4, 20} on both queue backends).
+//! mid-stream [`ObsCtx`] — so span trees depend only on the ordered
+//! event stream, and the streaming backend's replay seam
+//! ([`SimObserver::on_replayed_event`]) cannot perturb them.
 
 use std::fmt::{self, Write as _};
 
@@ -779,11 +778,10 @@ pub(crate) const COORD_MERGE: usize = 0;
 /// branch per event when off. The nanosecond readings are wall-clock and
 /// therefore nondeterministic — they never appear in deterministic
 /// outputs, and the `Debug` rendering redacts them (counts only), exactly
-/// like the sharded backend's busy-nanos counter.
+/// like the streaming backend's busy-nanos counter.
 #[derive(Clone, Default)]
 pub struct KernelProfile {
-    // (nanos, events) per Ev kind, accumulated on the serial executor or
-    // the sharded coordinator.
+    // (nanos, events) per Ev kind, accumulated on the serial executor.
     coordinator: [(u64, u64); KERNEL_EV_KINDS.len()],
     // (nanos, barriers) per coordinator barrier phase ([merge]).
     coord_phases: [(u64, u64); COORD_PHASES.len()],
@@ -792,7 +790,7 @@ pub struct KernelProfile {
 }
 
 impl KernelProfile {
-    /// An empty profile (no shard lanes until the sharded backend sizes
+    /// An empty profile (no shard lanes until the streaming backend sizes
     /// them).
     pub fn new() -> Self {
         KernelProfile::default()

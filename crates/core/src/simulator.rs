@@ -119,7 +119,7 @@ pub struct SimConfig {
     /// default; like every observer it costs nothing when not attached.
     pub spans: bool,
     /// Kernel self-profiling: attribute wall time per event kind (and per
-    /// shard on the sharded backend), rendered as folded stacks for
+    /// shard on the streaming backend), rendered as folded stacks for
     /// flamegraphs. Wall-clock readings are nondeterministic and never
     /// enter deterministic outputs. Off by default (one branch per event).
     pub profile: bool,
@@ -128,8 +128,8 @@ pub struct SimConfig {
     /// (merging epoch N while workers execute N+1) whenever the next
     /// known minute directly succeeds the last dispatched one. On by
     /// default; the switch exists so the conformance suite can assert
-    /// pipelined and unpipelined runs are byte-identical. Ignored by the
-    /// serial and sharded backends.
+    /// pipelined and unpipelined runs are byte-identical. Ignored by
+    /// materialized runs.
     pub stream_pipeline: bool,
     /// Run on the reference binary-heap event queue instead of the
     /// hierarchical timer wheel. The two backends are contractually
@@ -137,27 +137,23 @@ pub struct SimConfig {
     /// tests can assert golden traces are byte-identical on both.
     #[doc(hidden)]
     pub use_reference_queue: bool,
-    /// Which simulation kernel drives the run. [`Backend::Serial`] (the
-    /// default) is the reference single-threaded executor;
-    /// [`Backend::Sharded`] partitions pools across worker threads and
-    /// synchronizes at minute-epoch barriers, producing byte-identical
-    /// traces (conformance-tested against serial at every shard count).
+    /// Worker count for [`Simulator::run_streaming`]. Materialized runs
+    /// ([`Simulator::run_to_completion`]) are serial on every backend.
     pub backend: Backend,
 }
 
-/// Which simulation kernel [`Simulator::run_to_completion`] uses.
+/// How many workers [`Simulator::run_streaming`] uses.
 ///
-/// Mirrors the `use_reference_queue` switch pattern one level up: the
-/// serial executor stays as the reference implementation, and the sharded
-/// kernel is differentially tested against it (golden matrix + property
-/// conformance suite) rather than trusted.
+/// [`Simulator::run_to_completion`] runs the serial kernel for every
+/// variant, so a materialized run's output cannot depend on it; the golden
+/// matrix and the conformance suites pin that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// The single-threaded reference executor.
+    /// One worker.
     #[default]
     Serial,
-    /// Pool-sharded workers under `std::thread::scope`, synchronized at
-    /// minute-epoch barriers with a canonical (epoch, pool, seq) merge.
+    /// Pool-sharded streaming workers under `std::thread::scope`,
+    /// synchronized at minute-epoch barriers.
     Sharded {
         /// Number of worker threads (pools are assigned round-robin by
         /// pool id). Clamped to at least 1.
@@ -745,12 +741,27 @@ impl Simulator {
     }
 
     /// Runs the whole trace until every job completes (the paper's run
-    /// discipline). Returns the run counters.
-    pub fn run_to_completion(self) -> SimOutput {
-        match self.config.backend {
-            Backend::Serial => self.run_serial(),
-            Backend::Sharded { shards } => crate::sharded::run_sharded(self, shards.max(1)),
-        }
+    /// discipline). Returns the run counters. Materialized runs execute
+    /// on the serial kernel whatever the [`Backend`]; the backend's shard
+    /// count only matters to [`Simulator::run_streaming`].
+    pub fn run_to_completion(mut self) -> SimOutput {
+        // Pre-size the queue for the submit wave; the reference-heap
+        // backend exists for end-to-end differential tests only.
+        let mut executor = if self.config.use_reference_queue {
+            Executor::with_queue(EventQueue::with_reference_heap())
+        } else {
+            Executor::with_capacity(self.jobs.len() * 2 + 64)
+        };
+        self.seed_initial_events(|at, ev| {
+            executor.seed_event(at, ev);
+        });
+        let stats = executor.run(&mut self);
+        assert_eq!(
+            stats.outcome,
+            RunOutcome::Drained,
+            "simulation should drain, not stop early"
+        );
+        self.finish_run(stats.end_time, stats.events_processed)
     }
 
     /// Runs a workload to completion with *streaming* generation: jobs
@@ -780,31 +791,11 @@ impl Simulator {
         crate::streaming::run_streaming(self, workload, seed, shards)
     }
 
-    fn run_serial(mut self) -> SimOutput {
-        // Pre-size the queue for the submit wave; the reference-heap
-        // backend exists for end-to-end differential tests only.
-        let mut executor = if self.config.use_reference_queue {
-            Executor::with_queue(EventQueue::with_reference_heap())
-        } else {
-            Executor::with_capacity(self.jobs.len() * 2 + 64)
-        };
-        self.seed_initial_events(|at, ev| {
-            executor.seed_event(at, ev);
-        });
-        let stats = executor.run(&mut self);
-        assert_eq!(
-            stats.outcome,
-            RunOutcome::Drained,
-            "simulation should drain, not stop early"
-        );
-        self.finish_run(stats.end_time, stats.events_processed)
-    }
-
     /// Seeds the run's initial events — job submissions, the first sample
-    /// tick, the fault schedule — through `seed`, in the canonical order
-    /// both backends must share (event ids are assigned sequentially, so
-    /// seeding order is part of the determinism contract).
-    pub(crate) fn seed_initial_events(&mut self, mut seed: impl FnMut(SimTime, Ev)) {
+    /// tick, the fault schedule — through `seed`, in canonical order
+    /// (event ids are assigned sequentially, so seeding order is part of
+    /// the determinism contract).
+    fn seed_initial_events(&mut self, mut seed: impl FnMut(SimTime, Ev)) {
         for job in &self.jobs {
             seed(job.spec().submit_time, Ev::Submit(job.id()));
         }
@@ -849,7 +840,7 @@ impl Simulator {
         }
     }
 
-    /// Final bookkeeping shared by both backends: records the event count,
+    /// Final bookkeeping shared by both kernels: records the event count,
     /// runs `on_run_end`, filters shadow copies out of the reported
     /// population and assembles the [`SimOutput`].
     pub(crate) fn finish_run(mut self, end_time: SimTime, events_processed: u64) -> SimOutput {
@@ -902,6 +893,18 @@ impl Simulator {
             self.view_snap.capture_into(self.pools.iter());
             self.view_at = Some(now);
         }
+    }
+
+    /// [`Simulator::refresh_view`] for an initial-routing decision.
+    /// Round-robin never reads the view, so at zero staleness — where the
+    /// next reader recaptures anyway — the O(pools) capture is skipped.
+    /// At non-zero staleness it is kept: the capture sets `view_at`, and
+    /// later policy decisions reuse that snapshot until it ages out.
+    fn refresh_routing_view(&mut self, now: SimTime) {
+        if self.config.view_staleness.is_zero() && self.initial.as_round_robin_mut().is_some() {
+            return;
+        }
+        self.refresh_view(now);
     }
 
     /// Invalidate the view when staleness is zero so every decision sees
@@ -1003,7 +1006,7 @@ impl Simulator {
         let spec = self.scratch.take_spec(self.jobs[job.as_usize()].spec());
         let mut candidates = self.scratch.take_pool_list();
         self.initial_candidates_into(&spec, &mut candidates);
-        self.refresh_view(now);
+        self.refresh_routing_view(now);
         let mut order = self.scratch.take_pool_list();
         self.initial
             .order_into(&spec, &candidates, &self.view_snap, &mut order);
@@ -1190,9 +1193,9 @@ impl Simulator {
         self.scratch.put_pool_list(candidates);
         // Decision audit: the exact ranking inputs the policy saw, emitted
         // before the transition its verdict produces. Skipped for `NoRes`,
-        // whose suspensions are not decisions (and whose fast-class
-        // sharded path never consults the policy — the skip keeps span
-        // trees byte-identical across backends).
+        // whose suspensions are not decisions (and which the streaming
+        // kernel never consults — the skip keeps span trees comparable
+        // across kernels).
         if !self.observers.is_empty() && !self.policy.is_no_res() {
             self.emit_policy_audit(
                 job,
@@ -1748,7 +1751,7 @@ impl Simulator {
                 self.schedule_retry(job, now, sched);
             }
         } else {
-            self.refresh_view(now);
+            self.refresh_routing_view(now);
             let mut order = self.scratch.take_pool_list();
             self.initial
                 .order_into(&spec, &up, &self.view_snap, &mut order);

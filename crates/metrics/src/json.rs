@@ -155,6 +155,7 @@ fn render_string(s: &str, out: &mut String) {
 /// description; trailing non-whitespace is rejected.
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -168,6 +169,7 @@ pub fn parse(input: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -292,9 +294,8 @@ impl Parser<'_> {
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("invalid \\u escape"))?;
@@ -310,11 +311,13 @@ impl Parser<'_> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().expect("peeked a byte");
+                    // Consume one UTF-8 scalar. `pos` only ever advances
+                    // past whole scalars, so it sits on a char boundary.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("not on a UTF-8 boundary"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -396,6 +399,21 @@ mod tests {
     fn unicode_escapes_decode() {
         assert_eq!(parse(r#""Aé""#).unwrap().as_str(), Some("Aé"));
         assert!(parse(r#""\ud800""#).is_err(), "lone surrogate");
+    }
+
+    #[test]
+    fn multibyte_scalars_mix_with_escapes() {
+        // Two-, three- and four-byte scalars on both sides of an escape.
+        let doc = parse(r#"{"k":"ñ€\u00e9😀é\n日"}"#).unwrap();
+        assert_eq!(doc.get("k").and_then(Value::as_str), Some("ñ€é😀é\n日"));
+        assert_eq!(parse(&doc.render()).unwrap(), doc);
+        // Truncated escapes are errors, never panics, including when the
+        // four bytes after `\u` end inside a multibyte scalar.
+        assert!(parse(r#""é\u00e"#).is_err());
+        assert!(parse(r#""é\u0"#).is_err());
+        assert!(parse(r#""\u00é""#).is_err());
+        assert!(parse(r#""\u0😀""#).is_err());
+        assert!(parse(r#""€\"#).is_err());
     }
 
     #[test]

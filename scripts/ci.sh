@@ -56,7 +56,7 @@ cargo run --release --bin netbatch -- simulate \
 
 # Lifecycle smoke: scheduled maintenance drains, a rolling-update wave
 # and health cordons with proactive evacuation, layered over stochastic
-# faults, on both backends, under the online invariant checker (which
+# faults, on both backend settings, under the online invariant checker (which
 # also enforces the lifecycle discipline: no dispatch onto draining
 # machines, legal drain/undrain alternation, evacuations inside their
 # drain windows). Any violation panics and fails this step.
@@ -126,9 +126,10 @@ python3 -c "import json,sys; d=json.load(open(sys.argv[1])); assert d['traceEven
 echo "==> provenance reconciliation (spans vs telemetry vs counters)"
 cargo test --release -q --test provenance
 
-# Sharded-kernel smoke: the same invariant-checked run on the sharded
-# backend (4 worker shards), plus the cross-backend golden matrix, which
-# replays every committed fixture on serial and sharded at shard counts
+# Backend-setting smoke: the same invariant-checked run with
+# `--backend sharded` (materialized runs stay on the serial kernel),
+# plus the cross-backend golden matrix, which replays every committed
+# fixture with the serial and sharded settings at shard counts
 # {1, 2, 4, 20} and fails on the first non-identical byte.
 echo "==> invariant-checked sharded smoke (4 shards)"
 cargo run --release --bin netbatch -- simulate \

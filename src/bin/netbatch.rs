@@ -78,9 +78,10 @@ knobs tune it (drain lead default 60 min, maintenance every 48h for 2h,
 `--health-aware` makes scheduling weight pools by health-adjusted
 effective capacity and proactively evacuates jobs off draining machines
 before the kill deadline (implies `--lifecycle` and `--hardened`).
-`--backend sharded` runs the simulation on the sharded kernel (pools
-partitioned across `--shards N` worker threads, default 4); output is
-byte-identical to the serial backend at any shard count.
+`--backend sharded` parallelises only `--stream-workload` runs (pools
+partitioned across `--shards N` worker threads, default 4). Materialized
+runs accept it but always execute on the serial kernel, so their output
+is identical to `--backend serial` by construction.
 `--stream-workload` runs the streaming pipeline instead of a
 materialized trace: a pool-major workload (`--pools N` pools, default
 20, arrival rates scaled by `--scale`) is generated shard-locally epoch

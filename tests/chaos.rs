@@ -296,8 +296,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Lifecycle events are part of the determinism contract on *both*
-    /// backends: the serial reference and the sharded kernel (at 2 and 4
-    /// shards) must produce byte-identical traces for the same seed.
+    /// backend settings: serial and sharded (at 2 and 4 shards) must
+    /// produce byte-identical traces for the same seed.
     #[test]
     fn prop_lifecycle_chaos_backend_equivalence(
         records in prop::collection::vec(arb_record(), 1..30),

@@ -1,14 +1,13 @@
 //! Cross-backend golden matrix: every committed golden fixture must
-//! replay **byte-identically** on the serial reference backend and on the
-//! sharded backend at shards ∈ {1, 2, 4, NUM_POOLS}.
+//! replay **byte-identically** with `Backend::Serial` and with
+//! `Backend::Sharded` at shards ∈ {1, 2, 4, NUM_POOLS}.
 //!
-//! This is the conformance contract of the sharded kernel: shard count is
-//! an execution detail, never an observable. The matrix covers the
-//! fault-free fast-class cell (where sharding actually fans submissions
-//! and completions out to workers), the hardened chaos cell (which falls
-//! back to inline execution per event and must *still* be identical
-//! through the same coordinator), and the telemetry-attached variant
-//! (exercising the replay/settle observer seam end to end).
+//! Materialized runs (`run_to_completion`) execute on the serial kernel
+//! whatever the backend says; the shard count only sizes the streaming
+//! kernel's workers. The matrix pins that the backend setting stays an
+//! execution detail, never an observable, across the fault-free
+//! fast-class cell, the hardened chaos cell, the lifecycle cell and the
+//! telemetry-attached variant.
 
 use netbatch::core::faults::{FaultModel, LifecycleModel, ResiliencePolicy};
 use netbatch::core::observer::TraceRecorder;
@@ -124,9 +123,8 @@ fn chaos_fixture_is_shard_count_invariant() {
 
 #[test]
 fn lifecycle_fixture_is_shard_count_invariant() {
-    // Lifecycle drains and evacuations run inline on the coordinator
-    // (classified to no shard), so shard count must stay unobservable
-    // even while machines drain, die, evacuate and re-open mid-run.
+    // Shard count must stay unobservable even while machines drain,
+    // die, evacuate and re-open mid-run.
     let golden = read_fixture("lifecycle_drain_rswu.jsonl");
     assert_matches(
         &golden,
@@ -161,8 +159,7 @@ fn lifecycle_fixture_on_reference_heap_queue_is_backend_invariant() {
 #[test]
 fn telemetry_attached_trace_is_shard_count_invariant() {
     // Telemetry riding along must not perturb the recorded stream on any
-    // backend (observer independence), and the telemetry observer itself
-    // must survive the replay/settle delivery path.
+    // backend setting (observer independence).
     let golden = read_fixture("table1_nores_rr.jsonl");
     for shards in shard_matrix() {
         let mut config = table1_config(Backend::Sharded { shards });

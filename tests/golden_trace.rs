@@ -17,7 +17,9 @@ use netbatch::core::observer::TraceRecorder;
 use netbatch::core::policy::{InitialKind, StrategyKind};
 use netbatch::core::simulator::{SimConfig, Simulator};
 use netbatch::core::telemetry::Telemetry;
-use netbatch::workload::scenarios::ScenarioParams;
+use netbatch::sim_engine::time::SimDuration;
+use netbatch::workload::scenarios::{ScenarioParams, SiteSpec};
+use netbatch::workload::trace::Trace;
 use std::fs;
 
 /// Scale for the fixture cell: small enough to keep the fixture reviewable,
@@ -27,22 +29,26 @@ const GOLDEN_SCALE: f64 = 0.002;
 /// Fixture path relative to the crate root.
 const GOLDEN_PATH: &str = "tests/golden/table1_nores_rr.jsonl";
 
-/// Runs the Table 1 NoRes/round-robin cell with a recorder (and the
-/// invariant checker riding along) and returns the JSONL event stream.
-fn record_table1_nores_rr_on(use_reference_queue: bool) -> String {
-    let params = ScenarioParams::normal_week(GOLDEN_SCALE);
-    let site = params.build_site();
-    let trace = params.generate_trace();
-    let mut config = SimConfig::new(InitialKind::RoundRobin, StrategyKind::NoRes);
-    config.check_invariants = true;
-    config.use_reference_queue = use_reference_queue;
-    let mut sim = Simulator::new(&site, trace.to_specs(), config);
+/// Runs `trace` on `site` with a recorder attached and returns the JSONL
+/// event stream.
+fn record(site: &SiteSpec, trace: &Trace, config: SimConfig) -> String {
+    let mut sim = Simulator::new(site, trace.to_specs(), config);
     sim.attach_observer(Box::new(TraceRecorder::in_memory()));
     let out = sim.run_to_completion();
     out.observer::<TraceRecorder>()
         .expect("recorder attached")
         .lines()
         .to_string()
+}
+
+/// Runs the Table 1 NoRes/round-robin cell with a recorder (and the
+/// invariant checker riding along) and returns the JSONL event stream.
+fn record_table1_nores_rr_on(use_reference_queue: bool) -> String {
+    let params = ScenarioParams::normal_week(GOLDEN_SCALE);
+    let mut config = SimConfig::new(InitialKind::RoundRobin, StrategyKind::NoRes);
+    config.check_invariants = true;
+    config.use_reference_queue = use_reference_queue;
+    record(&params.build_site(), &params.generate_trace(), config)
 }
 
 fn record_table1_nores_rr() -> String {
@@ -64,29 +70,7 @@ fn table1_nores_rr_trace_matches_golden_fixture() {
         return;
     }
 
-    let golden = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("cannot read {path}: {e}\nregenerate with: UPDATE_GOLDEN=1 cargo test --test golden_trace")
-    });
-
-    if recorded != golden {
-        // Report the first diverging line before failing, so the diff is
-        // readable without dumping two multi-thousand-line streams.
-        for (i, (got, want)) in recorded.lines().zip(golden.lines()).enumerate() {
-            assert_eq!(
-                got,
-                want,
-                "trace diverges from golden fixture at line {}",
-                i + 1
-            );
-        }
-        panic!(
-            "trace length diverges from golden fixture: {} vs {} lines \
-             (first {} identical)",
-            recorded.lines().count(),
-            golden.lines().count(),
-            recorded.lines().count().min(golden.lines().count())
-        );
-    }
+    assert_matches_fixture(GOLDEN_PATH, &recorded, "timer wheel");
 }
 
 #[test]
@@ -183,4 +167,81 @@ fn golden_fixture_lines_are_well_formed_jsonl() {
         Some(true),
         "a trace must open with the first submission"
     );
+}
+
+/// Scale for the stale-view fixture: large enough that the 30-minute view
+/// is reused across many submissions and suspensions.
+const STALE_VIEW_SCALE: f64 = 0.02;
+
+/// Fixture for a round-robin cell whose rescheduling policy reads a stale
+/// cluster view. Initial routing never reads the view, but at non-zero
+/// staleness the snapshot taken at a submission is the one later
+/// suspension decisions reuse until it ages out, so skipping that capture
+/// would change which pools ResSusUtil picks.
+const STALE_VIEW_PATH: &str = "tests/golden/stale_view_rr_ressusutil.jsonl";
+
+/// Runs RR × ResSusUtil on the high-load (halved) site with a 30-minute
+/// view staleness and returns the JSONL event stream.
+fn record_stale_view_rr_ressusutil_on(use_reference_queue: bool) -> String {
+    let params = ScenarioParams::normal_week(STALE_VIEW_SCALE);
+    let mut config = SimConfig::new(InitialKind::RoundRobin, StrategyKind::ResSusUtil);
+    config.view_staleness = SimDuration::from_minutes(30);
+    config.use_reference_queue = use_reference_queue;
+    record(
+        &params.build_site().halved(),
+        &params.generate_trace(),
+        config,
+    )
+}
+
+/// Compares `recorded` with the fixture at `rel_path`, reporting the first
+/// diverging line so the failure is readable without dumping two
+/// multi-thousand-line streams.
+fn assert_matches_fixture(rel_path: &str, recorded: &str, label: &str) {
+    let path = format!("{}/{rel_path}", env!("CARGO_MANIFEST_DIR"));
+    let golden = fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("cannot read {path}: {e}\nregenerate with: UPDATE_GOLDEN=1 cargo test --test golden_trace")
+    });
+    if recorded == golden {
+        return;
+    }
+    for (i, (got, want)) in recorded.lines().zip(golden.lines()).enumerate() {
+        assert_eq!(
+            got,
+            want,
+            "[{label}] trace diverges from {rel_path} at line {}",
+            i + 1
+        );
+    }
+    panic!(
+        "[{label}] trace length diverges from {rel_path}: {} vs {} lines",
+        recorded.lines().count(),
+        golden.lines().count()
+    );
+}
+
+#[test]
+fn stale_view_rr_ressusutil_trace_matches_golden_fixture() {
+    let recorded = record_stale_view_rr_ressusutil_on(false);
+    assert!(
+        recorded.contains("\"ev\":\"restart_from_suspend\""),
+        "the stale-view cell must exercise rescheduling"
+    );
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        let path = format!("{}/{STALE_VIEW_PATH}", env!("CARGO_MANIFEST_DIR"));
+        fs::write(&path, &recorded).expect("write golden fixture");
+        println!("golden fixture regenerated at {path}");
+        return;
+    }
+    assert_matches_fixture(STALE_VIEW_PATH, &recorded, "timer wheel");
+}
+
+#[test]
+fn reference_heap_queue_reproduces_the_stale_view_fixture() {
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        // The sibling test owns regeneration; this one only compares.
+        return;
+    }
+    let recorded = record_stale_view_rr_ressusutil_on(true);
+    assert_matches_fixture(STALE_VIEW_PATH, &recorded, "reference heap");
 }

@@ -1,12 +1,15 @@
-//! Differential conformance suite: the sharded kernel must be
-//! **observationally equal** to the serial reference executor on random
-//! configurations — not just on the committed golden cells.
+//! Differential conformance suite: a materialized run configured with
+//! `Backend::Sharded` must be **observationally equal** to one configured
+//! with `Backend::Serial` on random configurations — not just on the
+//! committed golden cells. Both execute on the serial kernel (the shard
+//! count only sizes the streaming kernel's workers), so the suite pins
+//! that the backend setting never leaks into a materialized run.
 //!
 //! Each case draws a random workload, a random `SimConfig` across all
 //! nine strategies, both initial schedulers, staleness/overhead/restart
 //! knobs, an optional random fault model with the hardened resilience
-//! policy toggled freely, and a random shard count. The serial and the
-//! sharded run must then agree on the full JSONL event trace (byte for
+//! policy toggled freely, and a random shard count. The two runs must
+//! then agree on the full JSONL event trace (byte for
 //! byte), the run counters, and every derived paper metric — all while
 //! the `InvariantChecker` rides along on both backends.
 
@@ -174,8 +177,9 @@ fn assert_same_trace(serial: &str, sharded: &str, shards: usize) -> Result<(), T
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// For any configuration the sharded backend is a drop-in replacement:
-    /// same events in the same order, same counters, same metrics.
+    /// For any configuration the sharded backend setting is a drop-in
+    /// replacement: same events in the same order, same counters, same
+    /// metrics.
     #[test]
     fn prop_sharded_equals_serial(
         records in prop::collection::vec(arb_record(), 1..50),
@@ -206,9 +210,8 @@ proptest! {
     }
 }
 
-/// Runs one cell with the [`SpanRecorder`] attached (exercising the
-/// sharded replay seam — `on_replayed_event`/`on_settle` — when the
-/// backend shards) and returns the rendered spans JSONL.
+/// Runs one cell with the [`SpanRecorder`] attached and returns the
+/// rendered spans JSONL.
 fn run_spans(
     site: &SiteSpec,
     records: &[TraceRecord],
@@ -231,10 +234,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Span trees (segments, causes, and the decision audit) must come
-    /// out byte-identical from the serial executor and the sharded kernel
-    /// at shards {1, 2, 4, 20}, on both event-queue backends — the
-    /// provenance layer's replayed-event seam must not reorder, drop or
-    /// re-cause a single segment.
+    /// out byte-identical for the serial setting and the sharded setting
+    /// at shards {1, 2, 4, 20}, on both event-queue backends — no backend
+    /// setting may reorder, drop or re-cause a single segment.
     #[test]
     fn prop_span_trees_identical_across_backends(
         records in prop::collection::vec(arb_record(), 1..50),

@@ -7,8 +7,8 @@
 //! half the table scale.
 //!
 //! Flags: `--scale N` overrides `NETBATCH_SCALE`; `--check-invariants`
-//! runs every cell under the online invariant checker; `--stats` prints a
-//! per-event-kind timing report per cell; `--markdown` appends the
+//! runs every cell under the online invariant checker; `--stats` prints
+//! per-kind event counts and the kernel profiler's handler times per cell; `--markdown` appends the
 //! EXPERIMENTS.md tables; `--smoke` reports shape checks without gating
 //! the exit code on them (they are calibrated for scale >= 0.1, so
 //! small-scale CI runs gate only on invariants, which panic on violation).

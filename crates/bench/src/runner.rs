@@ -8,7 +8,7 @@
 //! behaviour; use 1.0 for the full 20x-larger runs).
 
 use netbatch_core::experiment::ExperimentResult;
-use netbatch_core::observer::StatsProbe;
+use netbatch_core::observer::EventCounts;
 use netbatch_core::policy::{InitialKind, StrategyKind};
 use netbatch_core::simulator::{SimConfig, Simulator};
 use netbatch_metrics::table::{fmt_minutes, fmt_percent, Table};
@@ -66,8 +66,9 @@ pub struct RunnerOpts {
     /// Run every cell under the online [`netbatch_core::InvariantChecker`]
     /// (panics, with event history, on the first violated invariant).
     pub check_invariants: bool,
-    /// Attach a [`StatsProbe`] per cell and print its per-event-kind
-    /// report after the strategies of a table finish.
+    /// Count events per kind and profile the kernel in every cell, and
+    /// print the [`EventCounts::report`] after the strategies of a table
+    /// finish.
     pub stats: bool,
     /// Attach a [`netbatch_core::Telemetry`] observer per cell (spans,
     /// per-pool series, exposition). Used by the observer-overhead bench.
@@ -89,7 +90,7 @@ pub fn run_cell(
 
 /// Runs one experiment cell under the given observer options.
 ///
-/// Returns the experiment result plus the [`StatsProbe`] report when
+/// Returns the experiment result plus the [`EventCounts::report`] when
 /// `opts.stats` is set (`None` otherwise).
 pub fn run_cell_opts(
     site: &SiteSpec,
@@ -102,18 +103,17 @@ pub fn run_cell_opts(
     config.check_invariants = opts.check_invariants;
     config.telemetry = opts.telemetry;
     config.spans = opts.spans;
+    config.profile = opts.stats;
     let mut sim = Simulator::new(site, trace.to_specs(), config);
     if opts.stats {
-        sim.attach_observer(Box::new(StatsProbe::new()));
+        sim.attach_observer(Box::new(EventCounts::new()));
     }
-    let mut output = sim.run_to_completion();
-    let observers = std::mem::take(&mut output.observers);
+    let output = sim.run_to_completion();
+    let report = output
+        .observer::<EventCounts>()
+        .zip(output.profile.as_ref())
+        .map(|(counts, profile)| format!("-- {} --\n{}", strategy.name(), counts.report(profile)));
     let result = ExperimentResult::from_output(initial, strategy, output);
-    let report = observers.iter().find_map(|o| {
-        o.as_any()
-            .downcast_ref::<StatsProbe>()
-            .map(|probe| format!("-- {} --\n{}", strategy.name(), probe.report()))
-    });
     (result, report)
 }
 

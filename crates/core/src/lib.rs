@@ -43,8 +43,8 @@ pub mod telemetry;
 pub use experiment::{render_results_table, Experiment, ExperimentResult, PAPER_TABLE_HEADER};
 pub use faults::{FaultModel, FaultPlan, MachineOutage, ResiliencePolicy};
 pub use observer::{
-    AuditTrigger, AuditVerdict, InvariantChecker, ObsCtx, ObsEvent, PhaseTag, ReschedKind,
-    SimObserver, StatsProbe, TraceRecorder,
+    AuditTrigger, AuditVerdict, EventCounts, InvariantChecker, ObsCtx, ObsEvent, PhaseTag,
+    ReschedKind, SimObserver, TraceRecorder,
 };
 pub use policy::{InitialKind, ReschedPolicy, StrategyKind};
 pub use provenance::{Cause, KernelProfile, SpanRecorder};

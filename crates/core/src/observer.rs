@@ -24,9 +24,21 @@
 //! * [`TraceRecorder`] — streams a deterministic JSONL event log
 //!   (hand-written JSON; the workspace carries no serde) for golden-trace
 //!   conformance tests and cross-run differential debugging;
-//! * [`StatsProbe`] — per-event-kind counters and per-kernel-event
-//!   wall-clock timings, surfaced through the CLI (`--stats`) and the
-//!   bench runner.
+//! * [`EventCounts`] — per-kind event counters, the `--stats` observer;
+//!   its [`EventCounts::report`] pairs them with the kernel profiler's
+//!   handler wall time.
+//!
+//! Two pieces defined here are shared across observers: the
+//! [`EVENT_KINDS`] table, which every per-kind counter indexes through
+//! [`EventCounts`], and the [`PhaseCursor`], which holds the one rule for
+//! which event opens or closes a job's queue-wait, running, suspended,
+//! backoff or migrating phase for both [`Telemetry`] and
+//! [`SpanRecorder`]. The invariant checker keeps its own phase machine on
+//! purpose: it is the independent reference the others are checked
+//! against.
+//!
+//! [`Telemetry`]: crate::telemetry::Telemetry
+//! [`SpanRecorder`]: crate::provenance::SpanRecorder
 
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
@@ -36,8 +48,9 @@ use std::io::Write as _;
 use netbatch_cluster::ids::{JobId, MachineId, PoolId};
 use netbatch_cluster::job::JobRecord;
 use netbatch_cluster::pool::PhysicalPool;
-use netbatch_sim_engine::observe::{LabelCounter, LabelTimer};
 use netbatch_sim_engine::time::{SimDuration, SimTime};
+
+use crate::provenance::{KernelProfile, SPAN_PHASES};
 
 /// Why a job left its pool through the rescheduling path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,12 +72,18 @@ pub enum ReschedKind {
 impl ReschedKind {
     /// Stable label, used as the event kind in traces and counters.
     pub fn label(self) -> &'static str {
+        EVENT_KINDS[self.kind_index()]
+    }
+
+    /// The [`EVENT_KINDS`] slot a reschedule of this kind counts under.
+    #[inline]
+    fn kind_index(self) -> usize {
         match self {
-            ReschedKind::RestartFromSuspend => "restart_from_suspend",
-            ReschedKind::RestartFromWait => "restart_from_wait",
-            ReschedKind::Migrate => "migrate",
-            ReschedKind::FailureEvict => "failure_evict",
-            ReschedKind::Evacuation => "evacuation",
+            ReschedKind::RestartFromSuspend => 7,
+            ReschedKind::RestartFromWait => 8,
+            ReschedKind::Migrate => 9,
+            ReschedKind::FailureEvict => 10,
+            ReschedKind::Evacuation => 22,
         }
     }
 }
@@ -398,39 +417,82 @@ pub enum ObsEvent {
     Sample,
 }
 
+/// Labels of the lifecycle event kinds, in [`ObsEvent::kind_index`]
+/// order. Every [`ReschedKind`] is a kind of its own; the `kernel` and
+/// `batch` markers are structural and have no slot.
+pub const EVENT_KINDS: [&str; 26] = [
+    "submit",
+    "pool_chosen",
+    "unrunnable",
+    "dispatch",
+    "enqueue",
+    "suspend",
+    "resume",
+    "restart_from_suspend",
+    "restart_from_wait",
+    "migrate",
+    "failure_evict",
+    "wait_timeout",
+    "duplicate",
+    "proxy_finish",
+    "complete",
+    "machine_down",
+    "machine_up",
+    "retry_backoff",
+    "blacklist",
+    "sample",
+    "machine_draining",
+    "machine_undrained",
+    "evacuation",
+    "policy_audit",
+    "evac_audit",
+    "fault_audit",
+];
+
 impl ObsEvent {
     /// Stable per-kind label; [`ObsEvent::Reschedule`] is labelled by its
     /// [`ReschedKind`] so counters reconcile with [`RunCounters`]
     /// per-mechanism fields.
     ///
     /// [`RunCounters`]: crate::simulator::RunCounters
+    #[inline]
     pub fn label(&self) -> &'static str {
-        match self {
-            ObsEvent::Kernel { .. } => "kernel",
-            ObsEvent::BatchStart { .. } => "batch",
-            ObsEvent::Submit { .. } => "submit",
-            ObsEvent::PoolChosen { .. } => "pool_chosen",
-            ObsEvent::Unrunnable { .. } => "unrunnable",
-            ObsEvent::Dispatch { .. } => "dispatch",
-            ObsEvent::Enqueue { .. } => "enqueue",
-            ObsEvent::Suspend { .. } => "suspend",
-            ObsEvent::Resume { .. } => "resume",
-            ObsEvent::Reschedule { kind, .. } => kind.label(),
-            ObsEvent::WaitTimeout { .. } => "wait_timeout",
-            ObsEvent::DuplicateLaunched { .. } => "duplicate",
-            ObsEvent::ProxyFinish { .. } => "proxy_finish",
-            ObsEvent::Complete { .. } => "complete",
-            ObsEvent::MachineDown { .. } => "machine_down",
-            ObsEvent::MachineUp { .. } => "machine_up",
-            ObsEvent::MachineDraining { .. } => "machine_draining",
-            ObsEvent::MachineUndrained { .. } => "machine_undrained",
-            ObsEvent::RetryScheduled { .. } => "retry_backoff",
-            ObsEvent::PoolBlacklisted { .. } => "blacklist",
-            ObsEvent::PolicyAudit { .. } => "policy_audit",
-            ObsEvent::EvacAudit { .. } => "evac_audit",
-            ObsEvent::FaultAudit { .. } => "fault_audit",
-            ObsEvent::Sample => "sample",
+        match self.kind_index() {
+            Some(i) => EVENT_KINDS[i],
+            None if matches!(self, ObsEvent::Kernel { .. }) => "kernel",
+            None => "batch",
         }
+    }
+
+    /// The event's [`EVENT_KINDS`] slot; `None` for the `kernel` and
+    /// `batch` markers.
+    #[inline]
+    pub fn kind_index(&self) -> Option<usize> {
+        Some(match self {
+            ObsEvent::Kernel { .. } | ObsEvent::BatchStart { .. } => return None,
+            ObsEvent::Submit { .. } => 0,
+            ObsEvent::PoolChosen { .. } => 1,
+            ObsEvent::Unrunnable { .. } => 2,
+            ObsEvent::Dispatch { .. } => 3,
+            ObsEvent::Enqueue { .. } => 4,
+            ObsEvent::Suspend { .. } => 5,
+            ObsEvent::Resume { .. } => 6,
+            ObsEvent::Reschedule { kind, .. } => kind.kind_index(),
+            ObsEvent::WaitTimeout { .. } => 11,
+            ObsEvent::DuplicateLaunched { .. } => 12,
+            ObsEvent::ProxyFinish { .. } => 13,
+            ObsEvent::Complete { .. } => 14,
+            ObsEvent::MachineDown { .. } => 15,
+            ObsEvent::MachineUp { .. } => 16,
+            ObsEvent::RetryScheduled { .. } => 17,
+            ObsEvent::PoolBlacklisted { .. } => 18,
+            ObsEvent::Sample => 19,
+            ObsEvent::MachineDraining { .. } => 20,
+            ObsEvent::MachineUndrained { .. } => 21,
+            ObsEvent::PolicyAudit { .. } => 23,
+            ObsEvent::EvacAudit { .. } => 24,
+            ObsEvent::FaultAudit { .. } => 25,
+        })
     }
 }
 
@@ -481,6 +543,245 @@ pub trait SimObserver: std::fmt::Debug {
     /// Upcast for downcasting out of
     /// [`SimOutput::observer`](crate::simulator::SimOutput::observer).
     fn as_any(&self) -> &dyn Any;
+}
+
+// ---------------------------------------------------------------------
+// EventCounts
+// ---------------------------------------------------------------------
+
+/// Lifecycle events counted per kind, one slot per [`EVENT_KINDS`] entry,
+/// so counting is one indexed add. Markers are not counted.
+///
+/// Attached on its own it is the `--stats` observer. It reads only the
+/// event, never `ctx`, so streaming runs accept it.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct EventCounts([u64; EVENT_KINDS.len()]);
+
+impl std::fmt::Debug for EventCounts {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.to_map()).finish()
+    }
+}
+
+impl EventCounts {
+    /// All counts zero.
+    pub fn new() -> Self {
+        EventCounts::default()
+    }
+
+    /// Counts `event`; markers are ignored.
+    #[inline]
+    pub fn record(&mut self, event: &ObsEvent) {
+        if let Some(i) = event.kind_index() {
+            self.0[i] += 1;
+        }
+    }
+
+    /// Total counted events.
+    pub fn total(&self) -> u64 {
+        self.0.iter().sum()
+    }
+
+    /// Counts of the kinds seen at least once, in label order.
+    pub fn to_map(&self) -> BTreeMap<&'static str, u64> {
+        EVENT_KINDS
+            .iter()
+            .zip(self.0)
+            .filter(|&(_, n)| n > 0)
+            .map(|(&kind, n)| (kind, n))
+            .collect()
+    }
+
+    /// The `--stats` report: these counts, then the handler wall time the
+    /// kernel profiler attributed to each lane and event kind. The times
+    /// cover the kernel's handlers only, not the observers.
+    pub fn report(&self, profile: &KernelProfile) -> String {
+        let mut out = String::from("event counts:\n");
+        for (kind, n) in self.to_map() {
+            let _ = writeln!(out, "  {kind:<22} {n}");
+        }
+        out.push_str("handler wall time by kernel event:\n");
+        for (lane, kind, nanos, n) in profile.cells() {
+            let _ = writeln!(
+                out,
+                "  {:<22} {n:>9} events  {:>8.1} ms total  {:>7.2} µs/event",
+                format!("{lane};{kind}"),
+                nanos as f64 / 1e6,
+                nanos as f64 / 1e3 / n.max(1) as f64
+            );
+        }
+        out
+    }
+}
+
+impl SimObserver for EventCounts {
+    fn on_event(&mut self, _now: SimTime, event: &ObsEvent, _ctx: &ObsCtx<'_>) {
+        self.record(event);
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+}
+
+// ---------------------------------------------------------------------
+// PhaseCursor
+// ---------------------------------------------------------------------
+
+/// A measured job-lifecycle phase; labelled by
+/// [`SPAN_PHASES`] in declaration order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpanPhase {
+    /// In a pool's wait queue.
+    QueueWait,
+    /// Running on a machine.
+    Running,
+    /// Preempted and parked on its machine.
+    Suspended,
+    /// Waiting out a failure-retry backoff at the VPM.
+    Backoff,
+    /// A migration checkpoint in transit to another pool.
+    Migrating,
+}
+
+impl SpanPhase {
+    /// Stable label, shared by span JSONL and telemetry histograms.
+    pub fn label(self) -> &'static str {
+        SPAN_PHASES[self as usize]
+    }
+
+    /// The measured phase a captured [`PhaseTag`] names (none at the VPM).
+    fn of(tag: PhaseTag) -> Option<SpanPhase> {
+        match tag {
+            PhaseTag::AtVpm => None,
+            PhaseTag::Waiting => Some(SpanPhase::QueueWait),
+            PhaseTag::Running => Some(SpanPhase::Running),
+            PhaseTag::Suspended => Some(SpanPhase::Suspended),
+        }
+    }
+}
+
+/// A job's open phase: which one, since when, and where.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OpenPhase<T> {
+    /// The phase.
+    pub phase: SpanPhase,
+    /// When it opened.
+    pub since: SimTime,
+    /// The pool it plays out in (the target pool for a migration).
+    pub pool: Option<PoolId>,
+    /// The machine, when machine-resident.
+    pub machine: Option<MachineId>,
+    /// The owner's handle for the phase (a span recorder's arena index).
+    pub tag: T,
+}
+
+/// What one event did to its job's phase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PhaseStep<T> {
+    /// The job the event moved.
+    pub job: JobId,
+    /// The phase the event's payload says the job left, if it names one.
+    /// A well-formed stream always has that phase open: anything else is
+    /// an unmatched end.
+    pub left: Option<SpanPhase>,
+    /// The phase that was open and is now closed.
+    pub closed: Option<OpenPhase<T>>,
+    /// The phase that is open now.
+    pub opened: Option<OpenPhase<T>>,
+}
+
+/// Each job's one open phase, in a dense per-job vector.
+///
+/// This is the single rule for which event opens and closes a phase:
+/// `enqueue` opens queue-wait, `dispatch` and `resume` open running,
+/// `suspend` opens suspended, `retry_backoff` opens backoff, a `migrate`
+/// reschedule opens migrating; each of those — and `complete`,
+/// `proxy_finish`, `unrunnable` and every other reschedule — first closes
+/// whatever phase was open. `T` is a per-phase handle the owner stores
+/// with the open phase and gets back when it closes.
+#[derive(Debug, Clone, Default)]
+pub struct PhaseCursor<T> {
+    open: Vec<Option<OpenPhase<T>>>,
+}
+
+impl<T: Copy> PhaseCursor<T> {
+    /// No job has an open phase.
+    pub fn new() -> Self {
+        PhaseCursor { open: Vec::new() }
+    }
+
+    /// Applies `event`; a phase it opens carries `tag`. Returns `None` for
+    /// events that move no job between phases.
+    #[inline]
+    pub fn step(&mut self, now: SimTime, event: &ObsEvent, tag: T) -> Option<PhaseStep<T>> {
+        use SpanPhase::*;
+        let (job, left, opens) = match *event {
+            ObsEvent::Enqueue { job, pool } => (job, None, Some((QueueWait, Some(pool), None))),
+            ObsEvent::Dispatch {
+                job,
+                pool,
+                machine,
+                from_queue,
+                ..
+            } => (
+                job,
+                from_queue.then_some(QueueWait),
+                Some((Running, Some(pool), Some(machine))),
+            ),
+            ObsEvent::Suspend { job, pool, machine } => (
+                job,
+                Some(Running),
+                Some((Suspended, Some(pool), Some(machine))),
+            ),
+            ObsEvent::Resume { job, pool, machine } => (
+                job,
+                Some(Suspended),
+                Some((Running, Some(pool), Some(machine))),
+            ),
+            ObsEvent::Complete { job, .. } => (job, Some(Running), None),
+            ObsEvent::ProxyFinish {
+                job, from_phase, ..
+            } => (job, SpanPhase::of(from_phase), None),
+            ObsEvent::Unrunnable { job } => (job, None, None),
+            ObsEvent::Reschedule {
+                job,
+                kind,
+                from_phase,
+                to,
+                ..
+            } => (
+                job,
+                SpanPhase::of(from_phase),
+                (kind == ReschedKind::Migrate).then_some((Migrating, to, None)),
+            ),
+            ObsEvent::RetryScheduled { job, .. } => (job, None, Some((Backoff, None, None))),
+            _ => return None,
+        };
+        let opened = opens.map(|(phase, pool, machine)| OpenPhase {
+            phase,
+            since: now,
+            pool,
+            machine,
+            tag,
+        });
+        let i = job.as_usize();
+        if i >= self.open.len() {
+            self.open.resize(i + 1, None);
+        }
+        let closed = std::mem::replace(&mut self.open[i], opened);
+        Some(PhaseStep {
+            job,
+            left,
+            closed,
+            opened,
+        })
+    }
+
+    /// Every open phase, in job order.
+    pub fn open_phases(&self) -> impl Iterator<Item = &OpenPhase<T>> {
+        self.open.iter().flatten()
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1385,49 +1686,49 @@ enum Sink {
 /// the property the golden-trace conformance suite pins. Structural
 /// markers ([`ObsEvent::Kernel`], [`ObsEvent::BatchStart`]) are not
 /// recorded.
+///
+/// A write error does not panic: the recorder keeps the first
+/// [`std::io::Error`], stops writing, and exposes it through
+/// [`TraceRecorder::error`].
 pub struct TraceRecorder {
     sink: Sink,
-    counts: BTreeMap<&'static str, u64>,
-    events: u64,
+    counts: EventCounts,
+    error: Option<std::io::Error>,
 }
 
 impl std::fmt::Debug for TraceRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceRecorder")
-            .field("events", &self.events)
+            .field("events", &self.events())
             .field("counts", &self.counts)
             .finish()
     }
 }
 
 impl TraceRecorder {
+    fn with_sink(sink: Sink) -> Self {
+        TraceRecorder {
+            sink,
+            counts: EventCounts::new(),
+            error: None,
+        }
+    }
+
     /// Records into an in-memory buffer (read back with
     /// [`TraceRecorder::lines`]).
     pub fn in_memory() -> Self {
-        TraceRecorder {
-            sink: Sink::Memory(String::new()),
-            counts: BTreeMap::new(),
-            events: 0,
-        }
+        Self::with_sink(Sink::Memory(String::new()))
     }
 
     /// Streams to a file through a buffered writer.
     pub fn to_file(path: &str) -> std::io::Result<Self> {
         let file = std::fs::File::create(path)?;
-        Ok(TraceRecorder {
-            sink: Sink::File(std::io::BufWriter::new(file)),
-            counts: BTreeMap::new(),
-            events: 0,
-        })
+        Ok(Self::with_sink(Sink::File(std::io::BufWriter::new(file))))
     }
 
     /// Streams to stdout (the `--trace-out -` pipeline sink).
     pub fn to_stdout() -> Self {
-        TraceRecorder {
-            sink: Sink::Stdout(std::io::BufWriter::new(std::io::stdout())),
-            counts: BTreeMap::new(),
-            events: 0,
-        }
+        Self::with_sink(Sink::Stdout(std::io::BufWriter::new(std::io::stdout())))
     }
 
     /// The recorded JSONL document (empty for file- and stdout-backed
@@ -1440,28 +1741,35 @@ impl TraceRecorder {
     }
 
     /// Recorded events per kind label.
-    pub fn kind_counts(&self) -> &BTreeMap<&'static str, u64> {
-        &self.counts
+    pub fn kind_counts(&self) -> BTreeMap<&'static str, u64> {
+        self.counts.to_map()
     }
 
     /// Total recorded events.
     pub fn events(&self) -> u64 {
-        self.events
+        self.counts.total()
+    }
+
+    /// The first write or flush error, after which the recorder stopped
+    /// writing.
+    pub fn error(&self) -> Option<&std::io::Error> {
+        self.error.as_ref()
     }
 
     fn write_line(&mut self, line: &str) {
-        match &mut self.sink {
+        if self.error.is_some() {
+            return;
+        }
+        let written = match &mut self.sink {
             Sink::Memory(buf) => {
                 buf.push_str(line);
                 buf.push('\n');
+                Ok(())
             }
-            Sink::File(w) => {
-                writeln!(w, "{line}").expect("trace write failed");
-            }
-            Sink::Stdout(w) => {
-                writeln!(w, "{line}").expect("trace write failed");
-            }
-        }
+            Sink::File(w) => writeln!(w, "{line}"),
+            Sink::Stdout(w) => writeln!(w, "{line}"),
+        };
+        self.error = written.err();
     }
 
     fn render(now: SimTime, event: &ObsEvent) -> Option<String> {
@@ -1627,125 +1935,21 @@ fn opt_u64(v: Option<u64>) -> String {
 impl SimObserver for TraceRecorder {
     fn on_event(&mut self, now: SimTime, event: &ObsEvent, _ctx: &ObsCtx<'_>) {
         if let Some(line) = Self::render(now, event) {
-            *self.counts.entry(event.label()).or_insert(0) += 1;
-            self.events += 1;
+            self.counts.record(event);
             self.write_line(&line);
         }
     }
 
     fn on_run_end(&mut self, _now: SimTime, _ctx: &ObsCtx<'_>) {
-        match &mut self.sink {
-            Sink::File(w) => w.flush().expect("trace flush failed"),
-            Sink::Stdout(w) => w.flush().expect("trace flush failed"),
-            Sink::Memory(_) => {}
+        if self.error.is_some() {
+            return;
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-// ---------------------------------------------------------------------
-// StatsProbe
-// ---------------------------------------------------------------------
-
-/// Counts events per kind and measures real (host) wall-clock time spent
-/// handling each kernel event kind.
-///
-/// The probe is composed from two deliberately separated halves (see
-/// [`netbatch_sim_engine::observe`]): deterministic sim-domain
-/// [`LabelCounter`]s, which may appear in traces, debug output and golden
-/// fixtures, and a wall-clock [`LabelTimer`], whose measurements are
-/// nondeterministic and whose `Debug` impl redacts them — so an `Instant`
-/// delta can never leak into a deterministic rendering, no matter how the
-/// probe is formatted.
-///
-/// Timings come from deltas between consecutive kernel markers, so they
-/// attribute the *whole* handler (including cascaded rescheduling) to the
-/// kernel event that triggered it.
-pub struct StatsProbe {
-    counts: LabelCounter,
-    kernel_counts: LabelCounter,
-    kernel_timer: LabelTimer,
-}
-
-impl Default for StatsProbe {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for StatsProbe {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Only the deterministic halves; the timer would redact itself
-        // anyway, but keeping it out entirely keeps the rendering stable
-        // across the split.
-        f.debug_struct("StatsProbe")
-            .field("counts", self.counts.counts())
-            .field("kernel_counts", self.kernel_counts.counts())
-            .finish()
-    }
-}
-
-impl StatsProbe {
-    /// A fresh probe.
-    pub fn new() -> Self {
-        StatsProbe {
-            counts: LabelCounter::new(),
-            kernel_counts: LabelCounter::new(),
-            kernel_timer: LabelTimer::new(),
-        }
-    }
-
-    /// Observed transition counts per kind (markers excluded).
-    pub fn counts(&self) -> &BTreeMap<&'static str, u64> {
-        self.counts.counts()
-    }
-
-    /// Kernel events per kind.
-    pub fn kernel_counts(&self) -> &BTreeMap<&'static str, u64> {
-        self.kernel_counts.counts()
-    }
-
-    /// Host wall-clock nanos per kernel event kind (nondeterministic;
-    /// surfaced for reports only, never for traces or fixtures).
-    pub fn kernel_nanos(&self) -> &BTreeMap<&'static str, u128> {
-        self.kernel_timer.all_nanos()
-    }
-
-    /// Human-readable summary table.
-    pub fn report(&self) -> String {
-        let mut out = String::from("event counts:\n");
-        for (kind, n) in self.counts.counts() {
-            let _ = writeln!(out, "  {kind:<22} {n}");
-        }
-        out.push_str("handler wall time by kernel event:\n");
-        for (kind, n) in self.kernel_counts.counts() {
-            let nanos = self.kernel_timer.nanos(kind);
-            let _ = writeln!(
-                out,
-                "  {kind:<22} {n:>9} events  {:>8.1} ms total  {:>7.2} µs/event",
-                nanos as f64 / 1e6,
-                nanos as f64 / 1e3 / (*n).max(1) as f64
-            );
-        }
-        out
-    }
-}
-
-impl SimObserver for StatsProbe {
-    fn on_event(&mut self, _now: SimTime, event: &ObsEvent, _ctx: &ObsCtx<'_>) {
-        if let ObsEvent::Kernel { kind } = event {
-            self.kernel_counts.inc(kind);
-            self.kernel_timer.start(kind);
-        } else if !matches!(event, ObsEvent::BatchStart { .. }) {
-            self.counts.inc(event.label());
-        }
-    }
-
-    fn on_run_end(&mut self, _now: SimTime, _ctx: &ObsCtx<'_>) {
-        self.kernel_timer.stop();
+        let flushed = match &mut self.sink {
+            Sink::File(w) => w.flush(),
+            Sink::Stdout(w) => w.flush(),
+            Sink::Memory(_) => Ok(()),
+        };
+        self.error = flushed.err();
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -1819,18 +2023,112 @@ mod tests {
     }
 
     #[test]
-    fn stats_probe_report_lists_kinds() {
-        let mut probe = StatsProbe::new();
+    fn event_counts_key_on_the_kind_table_and_skip_markers() {
+        let mut counts = EventCounts::new();
+        counts.record(&ObsEvent::Kernel { kind: "submit" });
+        counts.record(&ObsEvent::BatchStart { pool: PoolId(0) });
+        counts.record(&ObsEvent::Submit { job: JobId(0) });
+        counts.record(&ObsEvent::Submit { job: JobId(1) });
+        counts.record(&ObsEvent::Sample);
+        assert_eq!(counts.total(), 3);
+        assert_eq!(
+            counts.to_map().into_iter().collect::<Vec<_>>(),
+            [("sample", 1), ("submit", 2)]
+        );
+        assert_eq!(format!("{counts:?}"), r#"{"sample": 1, "submit": 2}"#);
+
+        let mut profile = KernelProfile::new();
+        profile.record(0, 5_000);
+        let report = counts.report(&profile);
+        assert!(report.starts_with("event counts:\n  sample"));
+        assert!(report.contains("handler wall time by kernel event:\n  serial;submit"));
+    }
+
+    #[test]
+    fn phase_cursor_closes_what_each_event_opened() {
+        use SpanPhase::*;
+        let (job, pool, machine) = (JobId(3), PoolId(1), MachineId(2));
+        let mut cursor = PhaseCursor::new();
+        let mut step = |t: u64, ev: ObsEvent, tag: u8| {
+            cursor.step(SimTime::from_minutes(t), &ev, tag).map(|s| {
+                (
+                    s.left,
+                    s.closed.map(|c| (c.phase, c.tag)),
+                    s.opened.map(|o| o.phase),
+                )
+            })
+        };
+        assert_eq!(step(0, ObsEvent::Submit { job }, 0), None);
+        assert_eq!(
+            step(0, ObsEvent::Enqueue { job, pool }, 1),
+            Some((None, None, Some(QueueWait)))
+        );
+        let dispatch = ObsEvent::Dispatch {
+            job,
+            pool,
+            machine,
+            wall: SimDuration::from_minutes(9),
+            from_queue: true,
+        };
+        assert_eq!(
+            step(4, dispatch, 2),
+            Some((Some(QueueWait), Some((QueueWait, 1)), Some(Running)))
+        );
+        assert_eq!(
+            step(5, ObsEvent::Suspend { job, pool, machine }, 3),
+            Some((Some(Running), Some((Running, 2)), Some(Suspended)))
+        );
+        let migrate = ObsEvent::Reschedule {
+            job,
+            kind: ReschedKind::Migrate,
+            from_pool: pool,
+            machine: Some(machine),
+            from_phase: PhaseTag::Suspended,
+            to: Some(PoolId(0)),
+            discarded: SimDuration::ZERO,
+        };
+        assert_eq!(
+            step(7, migrate, 4),
+            Some((Some(Suspended), Some((Suspended, 3)), Some(Migrating)))
+        );
+        let migrating = *cursor.open_phases().next().expect("in transit");
+        assert_eq!(migrating.pool, Some(PoolId(0)));
+        assert_eq!(migrating.since, SimTime::from_minutes(7));
+        let done = ObsEvent::ProxyFinish {
+            job,
+            from_phase: PhaseTag::AtVpm,
+            pool: None,
+            machine: None,
+        };
+        assert_eq!(
+            cursor.step(SimTime::from_minutes(8), &done, 5).map(|s| (
+                s.left,
+                s.closed.map(|c| c.phase),
+                s.opened
+            )),
+            Some((None, Some(Migrating), None))
+        );
+        assert_eq!(cursor.open_phases().count(), 0);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn trace_recorder_keeps_the_first_write_error() {
+        // /dev/full opens fine and fails every write with ENOSPC.
+        let mut rec = TraceRecorder::to_file("/dev/full").expect("open /dev/full");
+        let shadows = Default::default();
         let ctx = ObsCtx {
             pools: &[],
             jobs: &[],
-            shadows: &Default::default(),
+            shadows: &shadows,
         };
-        probe.on_event(SimTime::ZERO, &ObsEvent::Kernel { kind: "submit" }, &ctx);
-        probe.on_event(SimTime::ZERO, &ObsEvent::Submit { job: JobId(0) }, &ctx);
-        probe.on_run_end(SimTime::ZERO, &ctx);
-        assert_eq!(probe.counts()["submit"], 1);
-        assert_eq!(probe.kernel_counts()["submit"], 1);
-        assert!(probe.report().contains("submit"));
+        // Enough lines to overflow the writer's buffer mid-run.
+        for job in 0..2_000 {
+            rec.on_event(SimTime::ZERO, &ObsEvent::Submit { job: JobId(job) }, &ctx);
+        }
+        let err = rec.error().expect("ENOSPC surfaced").kind();
+        rec.on_run_end(SimTime::ZERO, &ctx);
+        assert_eq!(rec.error().map(std::io::Error::kind), Some(err));
+        assert_eq!(rec.events(), 2_000);
     }
 }

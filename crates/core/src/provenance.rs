@@ -22,7 +22,9 @@ use std::fmt::{self, Write as _};
 use netbatch_cluster::ids::{JobId, MachineId, PoolId};
 use netbatch_sim_engine::time::SimTime;
 
-use crate::observer::{AuditTrigger, AuditVerdict, ObsCtx, ObsEvent, ReschedKind, SimObserver};
+use crate::observer::{
+    AuditTrigger, AuditVerdict, ObsCtx, ObsEvent, PhaseCursor, PhaseStep, ReschedKind, SimObserver,
+};
 
 /// Span phase: the job sits in a pool's wait queue.
 pub const SPAN_QUEUE_WAIT: &str = "queue_wait";
@@ -35,8 +37,9 @@ pub const SPAN_BACKOFF: &str = "backoff";
 /// Span phase: the job's checkpoint is in transit to another pool.
 pub const SPAN_MIGRATING: &str = "migrating";
 
-/// Every span phase, in rendering order. The schema guard asserts these
-/// never collide with (or get reused as) event labels.
+/// Every span phase, in [`SpanPhase`](crate::observer::SpanPhase) order.
+/// The schema guard asserts these never collide with (or get reused as)
+/// event labels.
 pub const SPAN_PHASES: [&str; 5] = [
     SPAN_QUEUE_WAIT,
     SPAN_RUNNING,
@@ -192,16 +195,14 @@ pub struct Segment {
     pub cause: Cause,
 }
 
-// Per-job cursor into the flat segment arena. Keeping the segments
-// themselves out of this struct matters for overhead: one shared arena
-// grows amortized instead of one tiny heap allocation (plus reallocs)
-// per job, which is what dominates recording cost at scale.
+// Per-job recording state. The segments themselves live in one flat
+// arena rather than here: one shared arena grows amortized instead of one
+// tiny heap allocation (plus reallocs) per job, which is what dominates
+// recording cost at scale.
 #[derive(Default, Clone, Copy)]
 struct JobState {
-    open: Option<u32>,
     count: u32,
     pending: Option<Cause>,
-    submitted_at: Option<SimTime>,
 }
 
 /// Observer that folds the event stream into per-job span trees plus a
@@ -210,10 +211,15 @@ struct JobState {
 /// [`Simulator::attach_observer`](crate::simulator::Simulator::attach_observer);
 /// downcast out of the output with
 /// [`SimOutput::observer`](crate::simulator::SimOutput::observer).
+///
+/// A [`PhaseCursor`] decides when segments open and close; the recorder
+/// adds the causes and keeps the arena.
 pub struct SpanRecorder {
     strategy: &'static str,
     initial: &'static str,
     jobs: Vec<JobState>,
+    // Each job's open segment, tagged with its arena index.
+    cursor: PhaseCursor<u32>,
     // Flat arena of every segment, tagged (job, seq), in open order.
     segments: Vec<(u32, u32, Segment)>,
     decisions: Vec<(SimTime, ObsEvent)>,
@@ -230,6 +236,7 @@ impl SpanRecorder {
             strategy,
             initial,
             jobs: Vec::new(),
+            cursor: PhaseCursor::new(),
             segments: Vec::new(),
             decisions: Vec::new(),
             last_fault: None,
@@ -242,42 +249,6 @@ impl SpanRecorder {
             self.jobs.resize(idx + 1, JobState::default());
         }
         &mut self.jobs[idx]
-    }
-
-    fn close_open(&mut self, job: JobId, now: SimTime) {
-        let open = self.job_mut(job).open.take();
-        if let Some(i) = open {
-            self.segments[i as usize].2.end = Some(now);
-        }
-    }
-
-    fn open(
-        &mut self,
-        job: JobId,
-        phase: &'static str,
-        now: SimTime,
-        pool: Option<PoolId>,
-        machine: Option<MachineId>,
-        cause: Cause,
-    ) {
-        let arena_idx = self.segments.len() as u32;
-        let js = self.job_mut(job);
-        debug_assert!(js.open.is_none(), "segment opened over an open segment");
-        js.open = Some(arena_idx);
-        let seq = js.count;
-        js.count += 1;
-        self.segments.push((
-            job.as_u64() as u32,
-            seq,
-            Segment {
-                phase,
-                start: now,
-                end: None,
-                pool,
-                machine,
-                cause,
-            },
-        ));
     }
 
     fn take_pending(&mut self, job: JobId) -> Option<Cause> {
@@ -311,7 +282,7 @@ impl SpanRecorder {
 
     /// Segments still open (no end); zero once every job completed.
     pub fn open_count(&self) -> u64 {
-        self.jobs.iter().filter(|j| j.open.is_some()).count() as u64
+        self.cursor.open_phases().count() as u64
     }
 
     /// Number of closed segments in `phase`.
@@ -470,93 +441,64 @@ impl fmt::Debug for SpanRecorder {
 
 impl SimObserver for SpanRecorder {
     fn on_event(&mut self, now: SimTime, event: &ObsEvent, _ctx: &ObsCtx<'_>) {
-        match *event {
-            ObsEvent::Submit { job } => {
-                self.job_mut(job).submitted_at = Some(now);
-            }
-            ObsEvent::Enqueue { job, pool } => {
-                let cause = self.take_pending(job).unwrap_or(Cause::Submitted);
-                self.close_open(job, now);
-                self.open(job, SPAN_QUEUE_WAIT, now, Some(pool), None, cause);
-            }
+        let step = self.cursor.step(now, event, self.segments.len() as u32);
+        if let Some(closed) = step.and_then(|s| s.closed) {
+            self.segments[closed.tag as usize].2.end = Some(now);
+        }
+        // The cause of the segment the cursor opened: a stashed decision
+        // when one is pending (never for preemption or resumption, which
+        // are mechanical), the event's own cause otherwise. Events that
+        // open nothing only update the stash.
+        let cause = match *event {
+            ObsEvent::Enqueue { job, .. } => self.take_pending(job).unwrap_or(Cause::Submitted),
             ObsEvent::Dispatch {
+                job, from_queue, ..
+            } => self
+                .take_pending(job)
+                .unwrap_or(Cause::Dispatched { from_queue }),
+            ObsEvent::Suspend { .. } => Cause::Preempted,
+            ObsEvent::Resume { .. } => Cause::Resumed,
+            // A migration's transit segment. Restarts open nothing: the
+            // policy audit just before them stashed the cause, and the
+            // Enqueue/Dispatch that follows consumes it.
+            ObsEvent::Reschedule {
                 job,
-                pool,
+                kind: ReschedKind::Migrate,
+                ..
+            } => self
+                .take_pending(job)
+                .unwrap_or(Cause::Dispatched { from_queue: false }),
+            ObsEvent::Reschedule {
+                job,
+                kind: ReschedKind::FailureEvict,
+                from_pool,
                 machine,
-                from_queue,
                 ..
             } => {
-                let cause = self
-                    .take_pending(job)
-                    .unwrap_or(Cause::Dispatched { from_queue });
-                self.close_open(job, now);
-                self.open(job, SPAN_RUNNING, now, Some(pool), Some(machine), cause);
+                if let Some((p, m, cause)) = self.last_fault {
+                    if p == from_pool && machine == Some(m) {
+                        self.job_mut(job).pending = Some(cause);
+                    }
+                }
+                return;
             }
-            ObsEvent::Suspend { job, pool, machine } => {
-                self.close_open(job, now);
-                self.open(
-                    job,
-                    SPAN_SUSPENDED,
-                    now,
-                    Some(pool),
-                    Some(machine),
-                    Cause::Preempted,
-                );
+            // The backoff segment inherits the fault/evacuation cause;
+            // the dispatch that ends it carries the attempt number.
+            ObsEvent::RetryScheduled { job, attempt, .. } => {
+                let js = self.job_mut(job);
+                let cause = js.pending.unwrap_or(Cause::Retry { attempt });
+                js.pending = Some(Cause::Retry { attempt });
+                cause
             }
-            ObsEvent::Resume { job, pool, machine } => {
-                self.close_open(job, now);
-                self.open(
-                    job,
-                    SPAN_RUNNING,
-                    now,
-                    Some(pool),
-                    Some(machine),
-                    Cause::Resumed,
-                );
+            ObsEvent::Submit { job } => {
+                self.job_mut(job);
+                return;
             }
             ObsEvent::Complete { job, .. }
             | ObsEvent::ProxyFinish { job, .. }
             | ObsEvent::Unrunnable { job } => {
-                self.close_open(job, now);
                 self.job_mut(job).pending = None;
-            }
-            ObsEvent::Reschedule {
-                job,
-                kind,
-                from_pool,
-                machine,
-                to,
-                ..
-            } => {
-                self.close_open(job, now);
-                match kind {
-                    // The policy audit emitted just before already stashed
-                    // the cause; the next Enqueue/Dispatch consumes it.
-                    ReschedKind::RestartFromSuspend | ReschedKind::RestartFromWait => {}
-                    ReschedKind::Migrate => {
-                        let cause = self
-                            .take_pending(job)
-                            .unwrap_or(Cause::Dispatched { from_queue: false });
-                        self.open(job, SPAN_MIGRATING, now, to, None, cause);
-                    }
-                    ReschedKind::FailureEvict => {
-                        if let Some((p, m, cause)) = self.last_fault {
-                            if p == from_pool && machine == Some(m) {
-                                self.job_mut(job).pending = Some(cause);
-                            }
-                        }
-                    }
-                    // The evac audit emitted just before stashed the cause.
-                    ReschedKind::Evacuation => {}
-                }
-            }
-            ObsEvent::RetryScheduled { job, attempt, .. } => {
-                // The backoff segment inherits the fault/evacuation cause;
-                // the dispatch that ends it carries the attempt number.
-                let cause = self.take_pending(job).unwrap_or(Cause::Retry { attempt });
-                self.close_open(job, now);
-                self.open(job, SPAN_BACKOFF, now, None, None, cause);
-                self.job_mut(job).pending = Some(Cause::Retry { attempt });
+                return;
             }
             ObsEvent::DuplicateLaunched {
                 original, clone, ..
@@ -564,14 +506,24 @@ impl SimObserver for SpanRecorder {
                 // The policy decision that launched the copy moves to the
                 // clone: the original never transitions.
                 let cause = self.take_pending(original).unwrap_or(Cause::DuplicateRace);
-                let js = self.job_mut(clone);
-                js.submitted_at = Some(now);
-                js.pending = Some(cause);
+                self.job_mut(clone).pending = Some(cause);
+                return;
             }
-            ObsEvent::PolicyAudit { job, verdict, .. } => {
+            ObsEvent::PolicyAudit {
+                job,
+                trigger,
+                verdict,
+                target,
+                candidates,
+                cur_util_milli,
+                tgt_util_milli,
+                cur_queue,
+                tgt_queue,
+                ..
+            } => {
                 self.decisions.push((now, *event));
                 if verdict != AuditVerdict::Stay {
-                    if let ObsEvent::PolicyAudit {
+                    self.job_mut(job).pending = Some(Cause::Policy {
                         trigger,
                         verdict,
                         target,
@@ -580,21 +532,9 @@ impl SimObserver for SpanRecorder {
                         tgt_util_milli,
                         cur_queue,
                         tgt_queue,
-                        ..
-                    } = *event
-                    {
-                        self.job_mut(job).pending = Some(Cause::Policy {
-                            trigger,
-                            verdict,
-                            target,
-                            candidates,
-                            cur_util_milli,
-                            tgt_util_milli,
-                            cur_queue,
-                            tgt_queue,
-                        });
-                    }
+                    });
                 }
+                return;
             }
             ObsEvent::EvacAudit {
                 job,
@@ -604,6 +544,7 @@ impl SimObserver for SpanRecorder {
             } => {
                 self.decisions.push((now, *event));
                 self.job_mut(job).pending = Some(Cause::Evacuation { window, deadline });
+                return;
             }
             ObsEvent::FaultAudit {
                 pool,
@@ -620,18 +561,33 @@ impl SimObserver for SpanRecorder {
                         blacklisted_until,
                     },
                 ));
+                return;
             }
-            ObsEvent::PoolChosen { .. }
-            | ObsEvent::WaitTimeout { .. }
-            | ObsEvent::MachineDown { .. }
-            | ObsEvent::MachineUp { .. }
-            | ObsEvent::MachineDraining { .. }
-            | ObsEvent::MachineUndrained { .. }
-            | ObsEvent::PoolBlacklisted { .. }
-            | ObsEvent::Sample
-            | ObsEvent::Kernel { .. }
-            | ObsEvent::BatchStart { .. } => {}
-        }
+            _ => return,
+        };
+        let Some(PhaseStep {
+            job,
+            opened: Some(open),
+            ..
+        }) = step
+        else {
+            return;
+        };
+        let js = self.job_mut(job);
+        let seq = js.count;
+        js.count += 1;
+        self.segments.push((
+            job.as_u64() as u32,
+            seq,
+            Segment {
+                phase: open.phase.label(),
+                start: now,
+                end: None,
+                pool: open.pool,
+                machine: open.machine,
+                cause,
+            },
+        ));
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -676,6 +632,11 @@ pub fn perfetto_from_jsonl(input: &str) -> Result<String, String> {
             .get("phase")
             .and_then(Value::as_str)
             .ok_or_else(|| format!("line {}: span missing \"phase\"", lineno + 1))?;
+        // The phase is copied into the output unescaped, so only the
+        // known vocabulary may pass.
+        if !SPAN_PHASES.contains(&phase) {
+            return Err(format!("line {}: unknown span phase {phase:?}", lineno + 1));
+        }
         // pid 0 = off-pool (VPM/backoff); pools shift up by one.
         let pid = v.get("pool").and_then(Value::as_u64).map_or(0, |p| p + 1);
         tracks.insert((pid, job));
@@ -736,9 +697,8 @@ pub fn perfetto_from_jsonl(input: &str) -> Result<String, String> {
 // ---------------------------------------------------------------------
 
 /// Kernel event-kind labels, indexed by
-/// [`Ev::kind_index`](crate::simulator::Ev); must stay in sync with
-/// [`EventLabel`](netbatch_sim_engine::observe::EventLabel) for
-/// [`Ev`](crate::simulator::Ev).
+/// [`Ev::kind_index`](crate::simulator::Ev::kind_index) and read by
+/// [`Ev::label`](crate::simulator::Ev::label).
 pub const KERNEL_EV_KINDS: [&str; 10] = [
     "submit",
     "complete",
@@ -856,33 +816,36 @@ impl KernelProfile {
         coord + shard
     }
 
-    /// Folded-stack (flamegraph-ready) rendering: one
-    /// `netbatch;<lane>;<phase> <microseconds>` line per non-empty cell.
-    /// The main lane is `serial` for serial runs and `coordinator` when
-    /// shard lanes exist.
-    pub fn render_folded(&self) -> String {
-        let mut out = String::new();
+    /// Every non-empty cell as `(lane, phase, nanos, count)`: the
+    /// per-event kinds and barrier phases of the main lane (`serial` for
+    /// serial runs, `coordinator` when shard lanes exist), then each
+    /// shard's phases.
+    pub fn cells(&self) -> Vec<(String, &'static str, u64, u64)> {
         let lane = if self.shards.is_empty() {
             "serial"
         } else {
             "coordinator"
         };
-        for (kind, &(nanos, events)) in KERNEL_EV_KINDS.iter().zip(&self.coordinator) {
-            if events > 0 {
-                let _ = writeln!(out, "netbatch;{lane};{kind} {}", nanos / 1_000);
-            }
-        }
-        for (phase, &(nanos, barriers)) in COORD_PHASES.iter().zip(&self.coord_phases) {
-            if barriers > 0 {
-                let _ = writeln!(out, "netbatch;{lane};{phase} {}", nanos / 1_000);
-            }
-        }
-        for (shard, lanes) in self.shards.iter().enumerate() {
-            for (phase, &(nanos, items)) in SHARD_PHASES.iter().zip(lanes) {
-                if items > 0 {
-                    let _ = writeln!(out, "netbatch;shard{shard};{phase} {}", nanos / 1_000);
-                }
-            }
+        let main = KERNEL_EV_KINDS
+            .iter()
+            .zip(&self.coordinator)
+            .chain(COORD_PHASES.iter().zip(&self.coord_phases))
+            .map(|(&phase, &(nanos, n))| (lane.to_string(), phase, nanos, n));
+        let shards = self.shards.iter().enumerate().flat_map(|(shard, lanes)| {
+            SHARD_PHASES
+                .iter()
+                .zip(lanes)
+                .map(move |(&phase, &(nanos, n))| (format!("shard{shard}"), phase, nanos, n))
+        });
+        main.chain(shards).filter(|cell| cell.3 > 0).collect()
+    }
+
+    /// Folded-stack (flamegraph-ready) rendering: one
+    /// `netbatch;<lane>;<phase> <microseconds>` line per non-empty cell.
+    pub fn render_folded(&self) -> String {
+        let mut out = String::new();
+        for (lane, phase, nanos, _) in self.cells() {
+            let _ = writeln!(out, "netbatch;{lane};{phase} {}", nanos / 1_000);
         }
         out
     }
@@ -890,9 +853,9 @@ impl KernelProfile {
 
 impl fmt::Debug for KernelProfile {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Redact the wall-clock nanos: like `LabelTimer`, Debug output must
-        // stay deterministic so profiles can ride `SimOutput` without
-        // breaking byte-identical-output contracts.
+        // Redact the wall-clock nanos: Debug output must stay
+        // deterministic so profiles can ride `SimOutput` without breaking
+        // byte-identical-output contracts.
         f.debug_struct("KernelProfile")
             .field("events", &self.total_events())
             .field("shards", &self.shards.len())
@@ -903,7 +866,6 @@ impl fmt::Debug for KernelProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netbatch_sim_engine::observe::EventLabel;
     use netbatch_sim_engine::time::SimDuration;
 
     fn t(m: u64) -> SimTime {
@@ -1193,23 +1155,11 @@ mod tests {
     }
 
     #[test]
-    fn kernel_ev_kinds_match_event_labels() {
-        use crate::simulator::Ev;
-        let evs = [
-            Ev::Submit(JobId(0)),
-            Ev::Complete(JobId(0)),
-            Ev::WaitCheck(JobId(0)),
-            Ev::Sample,
-            Ev::MachineDown(PoolId(0), MachineId(0)),
-            Ev::MachineUp(PoolId(0), MachineId(0)),
-            Ev::MigrateArrive(JobId(0), PoolId(0)),
-            Ev::RetryDispatch(JobId(0)),
-            Ev::DrainStart(PoolId(0), MachineId(0), None),
-            Ev::DrainEnd(PoolId(0), MachineId(0)),
-        ];
-        for ev in evs {
-            assert_eq!(KERNEL_EV_KINDS[ev.kind_index()], ev.label());
-        }
+    fn perfetto_export_rejects_unknown_phases() {
+        let line = r#"{"kind":"span","job":0,"seq":0,"phase":"queue\"_wait","start":0,"end":1,"pool":0,"machine":null,"cause":{"type":"submitted"}}"#;
+        let input = format!("{{\"schema\":\"netbatch-spans/1\"}}\n{line}\n");
+        let err = perfetto_from_jsonl(&input).expect_err("an escaped phase must not pass");
+        assert!(err.starts_with("line 2: unknown span phase"), "{err}");
     }
 
     #[test]

@@ -18,7 +18,6 @@ use netbatch_cluster::pool::{PhysicalPool, PoolAction, SubmitKind};
 use netbatch_cluster::snapshot::ClusterSnapshot;
 use netbatch_metrics::timeseries::TimeSeries;
 use netbatch_sim_engine::executor::{Control, Executor, Handler, RunOutcome, Scheduler};
-use netbatch_sim_engine::observe::EventLabel;
 use netbatch_sim_engine::queue::EventQueue;
 use netbatch_sim_engine::rng::DetRng;
 use netbatch_sim_engine::sampler::PeriodicSampler;
@@ -34,7 +33,7 @@ use crate::observer::{
 };
 use crate::policy::initial::{InitialKind, InitialScheduler};
 use crate::policy::resched::{Decision, ReschedPolicy, StrategyKind};
-use crate::provenance::KernelProfile;
+use crate::provenance::{KernelProfile, KERNEL_EV_KINDS};
 
 /// Simulator configuration: the experiment's policy axes plus extension
 /// knobs (all defaults match the paper's setup).
@@ -358,7 +357,7 @@ pub enum Ev {
 
 impl Ev {
     /// Dense index of the event's kind, matching
-    /// [`KERNEL_EV_KINDS`](crate::provenance::KERNEL_EV_KINDS) — the
+    /// [`KERNEL_EV_KINDS`] — the
     /// kernel profiler's per-phase attribution key.
     pub fn kind_index(self) -> usize {
         match self {
@@ -374,22 +373,10 @@ impl Ev {
             Ev::DrainEnd(..) => 9,
         }
     }
-}
 
-impl EventLabel for Ev {
-    fn label(&self) -> &'static str {
-        match self {
-            Ev::Submit(_) => "submit",
-            Ev::Complete(_) => "complete",
-            Ev::WaitCheck(_) => "wait_check",
-            Ev::Sample => "sample",
-            Ev::MachineDown(..) => "machine_down",
-            Ev::MachineUp(..) => "machine_up",
-            Ev::MigrateArrive(..) => "migrate_arrive",
-            Ev::RetryDispatch(_) => "retry_dispatch",
-            Ev::DrainStart(..) => "drain_start",
-            Ev::DrainEnd(..) => "drain_end",
-        }
+    /// Stable label of the event's kind (the `kernel` marker's `kind`).
+    pub fn label(self) -> &'static str {
+        KERNEL_EV_KINDS[self.kind_index()]
     }
 }
 

@@ -64,9 +64,10 @@
 //! every stream is pinned to one pool in non-decreasing order. Observers
 //! must not index `ctx.jobs` (the run keeps it empty until drain);
 //! [`TraceRecorder`](crate::observer::TraceRecorder) and
-//! [`StatsProbe`](crate::observer::StatsProbe) qualify, the invariant
+//! [`EventCounts`](crate::observer::EventCounts) qualify, the invariant
 //! checker, telemetry and span observers do not and their config switches
-//! are rejected.
+//! are rejected. The kernel profiler (`--stats` turns it on) times the
+//! coordinator merge and each shard's submit, complete and generate work.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,7 +84,7 @@ use netbatch_workload::{TraceStream, WorkloadSpec};
 
 use crate::observer::{ObsCtx, ObsEvent};
 use crate::provenance::{COORD_MERGE, PHASE_COMPLETE, PHASE_GENERATE, PHASE_SUBMIT};
-use crate::simulator::{SimOutput, Simulator};
+use crate::simulator::{Ev, SimOutput, Simulator};
 
 /// Lookahead depth in generated-but-unsubmitted minutes per pool. Two is
 /// the minimum that lets the coordinator pre-dispatch epoch `N+1` before
@@ -356,7 +357,9 @@ impl<'a> StreamWorker<'a> {
         arena: &PoolArena,
     ) {
         self.executed += 1;
-        self.emit(ObsEvent::Kernel { kind: "submit" });
+        self.emit(ObsEvent::Kernel {
+            kind: Ev::Submit(id).label(),
+        });
         let mut job = JobRecord::new(record.to_spec(id));
         job.submit(now).expect("streamed submissions fire once");
         self.emit(ObsEvent::Submit { job: id });
@@ -404,7 +407,9 @@ impl<'a> StreamWorker<'a> {
         arena: &PoolArena,
     ) {
         self.executed += 1;
-        self.emit(ObsEvent::Kernel { kind: "complete" });
+        self.emit(ObsEvent::Kernel {
+            kind: Ev::Complete(job).label(),
+        });
         let rec = self
             .jobs
             .get_mut(&job)

@@ -8,12 +8,13 @@
 //! [`Telemetry`] is an observer that, riding the same event stream the
 //! trace recorder and invariant checker consume, maintains
 //!
-//! * **event counters** per transition kind (deterministic, sim-domain);
-//! * **job-lifecycle spans** — queued→dispatched, suspended→resumed,
-//!   submitted→completed intervals matched in O(1) against per-job state
-//!   and aggregated into per-phase [`SpanCollector`] latency histograms
-//!   (time-in-queue, time-suspended, restart-wasted-work), both globally
-//!   and per pool;
+//! * **event counters** per transition kind ([`EventCounts`]:
+//!   deterministic, sim-domain);
+//! * **job-lifecycle spans** — queued→dispatched and suspended→resumed
+//!   intervals closed by the shared [`PhaseCursor`], plus
+//!   submitted→completed from per-job state, aggregated into per-phase
+//!   [`SpanCollector`] latency histograms (time-in-queue, time-suspended,
+//!   restart-wasted-work), both globally and per pool;
 //! * a **per-pool time-series sampler** (utilization, queue depth, down
 //!   machines, suspended jobs) driven by the existing per-minute sample
 //!   tick, feeding [`TimeSeries`];
@@ -29,9 +30,7 @@
 //!
 //! Like every observer, telemetry costs nothing when not attached: the
 //! simulator's emit path returns before building the event when the
-//! observer list is empty. [`Registry`] additionally supports an
-//! explicit disabled mode for embedding in code that cannot rely on
-//! that seam.
+//! observer list is empty.
 //!
 //! Determinism: all state is sim-domain (counts, sim-minutes, series);
 //! no wall clock is read anywhere in this module, so the `Debug`
@@ -53,12 +52,15 @@ use netbatch_metrics::table::{fmt_minutes, fmt_percent, Table};
 use netbatch_metrics::timeseries::TimeSeries;
 use netbatch_sim_engine::time::{SimDuration, SimTime};
 
-use crate::observer::{ObsCtx, ObsEvent, PhaseTag, ReschedKind, SimObserver};
+use crate::observer::{
+    EventCounts, ObsCtx, ObsEvent, OpenPhase, PhaseCursor, ReschedKind, SimObserver, SpanPhase,
+};
+use crate::provenance::{SPAN_QUEUE_WAIT, SPAN_SUSPENDED};
 
 /// Span phase: time spent in a pool wait queue.
-pub const PHASE_QUEUE_WAIT: &str = "queue_wait";
+pub const PHASE_QUEUE_WAIT: &str = SPAN_QUEUE_WAIT;
 /// Span phase: time spent suspended on a machine.
-pub const PHASE_SUSPENDED: &str = "suspended";
+pub const PHASE_SUSPENDED: &str = SPAN_SUSPENDED;
 /// Span phase: submission-to-completion latency.
 pub const PHASE_COMPLETION: &str = "completion";
 /// Span phase: execution progress discarded by a restart.
@@ -69,89 +71,14 @@ pub const PHASE_RETRY_BACKOFF: &str = "retry_backoff";
 /// Figure 4 aggregates the per-minute samples into 100-minute buckets.
 pub const TIMELINE_BUCKET: SimDuration = SimDuration::from_minutes(100);
 
-/// Labels of the counted event kinds, in [`event_index`] order. Kernel
-/// and batch markers are filtered out before counting.
-const EVENT_KINDS: [&str; 26] = [
-    "submit",
-    "pool_chosen",
-    "unrunnable",
-    "dispatch",
-    "enqueue",
-    "suspend",
-    "resume",
-    "restart_from_suspend",
-    "restart_from_wait",
-    "migrate",
-    "failure_evict",
-    "wait_timeout",
-    "duplicate",
-    "proxy_finish",
-    "complete",
-    "machine_down",
-    "machine_up",
-    "retry_backoff",
-    "blacklist",
-    "sample",
-    "machine_draining",
-    "machine_undrained",
-    "evacuation",
-    "policy_audit",
-    "evac_audit",
-    "fault_audit",
-];
-
-/// The [`EVENT_KINDS`] slot for a counted event. Counting through a
-/// fixed array instead of a label-keyed map keeps the per-event cost to
-/// one indexed add — this runs on every observed transition.
-fn event_index(event: &ObsEvent) -> usize {
-    match event {
-        ObsEvent::Submit { .. } => 0,
-        ObsEvent::PoolChosen { .. } => 1,
-        ObsEvent::Unrunnable { .. } => 2,
-        ObsEvent::Dispatch { .. } => 3,
-        ObsEvent::Enqueue { .. } => 4,
-        ObsEvent::Suspend { .. } => 5,
-        ObsEvent::Resume { .. } => 6,
-        ObsEvent::Reschedule { kind, .. } => match kind {
-            ReschedKind::RestartFromSuspend => 7,
-            ReschedKind::RestartFromWait => 8,
-            ReschedKind::Migrate => 9,
-            ReschedKind::FailureEvict => 10,
-            ReschedKind::Evacuation => 22,
-        },
-        ObsEvent::WaitTimeout { .. } => 11,
-        ObsEvent::DuplicateLaunched { .. } => 12,
-        ObsEvent::ProxyFinish { .. } => 13,
-        ObsEvent::Complete { .. } => 14,
-        ObsEvent::MachineDown { .. } => 15,
-        ObsEvent::MachineUp { .. } => 16,
-        ObsEvent::RetryScheduled { .. } => 17,
-        ObsEvent::PoolBlacklisted { .. } => 18,
-        ObsEvent::Sample => 19,
-        ObsEvent::MachineDraining { .. } => 20,
-        ObsEvent::MachineUndrained { .. } => 21,
-        ObsEvent::PolicyAudit { .. } => 23,
-        ObsEvent::EvacAudit { .. } => 24,
-        ObsEvent::FaultAudit { .. } => 25,
-        ObsEvent::Kernel { .. } | ObsEvent::BatchStart { .. } => {
-            unreachable!("markers are filtered before counting")
-        }
-    }
-}
-
 type LabelSet = Vec<(String, String)>;
 
 /// A general-purpose metrics registry: counters, gauges and
 /// [`LogHistogram`]-backed histograms, keyed by metric name and label
 /// set, with deterministic (BTreeMap-ordered) rendering to the
 /// Prometheus text format.
-///
-/// Recording into a disabled registry ([`Registry::disabled`]) is a
-/// no-op that performs no allocation — the zero-cost-when-disabled
-/// contract for call sites that cannot gate on an observer seam.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Registry {
-    enabled: bool,
     families: BTreeMap<&'static str, (&'static str, MetricKind)>,
     counters: BTreeMap<(&'static str, LabelSet), u64>,
     gauges: BTreeMap<(&'static str, LabelSet), f64>,
@@ -165,10 +92,9 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// An enabled, empty registry.
+    /// An empty registry.
     pub fn new() -> Self {
         Registry {
-            enabled: true,
             families: BTreeMap::new(),
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
@@ -176,26 +102,10 @@ impl Registry {
         }
     }
 
-    /// A disabled registry: every recording call returns immediately.
-    pub fn disabled() -> Self {
-        Registry {
-            enabled: false,
-            ..Registry::new()
-        }
-    }
-
-    /// Whether recording is live.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Declares a metric family's help text and type. Recording methods
     /// auto-declare undocumented families, so this is optional but makes
     /// the exposition self-describing.
     pub fn declare(&mut self, name: &'static str, help: &'static str, kind: MetricKind) {
-        if !self.enabled {
-            return;
-        }
         self.families.entry(name).or_insert((help, kind));
     }
 
@@ -211,27 +121,18 @@ impl Registry {
 
     /// Adds `by` to a counter.
     pub fn inc(&mut self, name: &'static str, labels: &[(&str, &str)], by: u64) {
-        if !self.enabled {
-            return;
-        }
         self.declare(name, "(undocumented)", MetricKind::Counter);
         *self.counters.entry(Self::key(name, labels)).or_insert(0) += by;
     }
 
     /// Sets a gauge to `value` (last write wins).
     pub fn gauge(&mut self, name: &'static str, labels: &[(&str, &str)], value: f64) {
-        if !self.enabled {
-            return;
-        }
         self.declare(name, "(undocumented)", MetricKind::Gauge);
         self.gauges.insert(Self::key(name, labels), value);
     }
 
     /// Records one observation into a decade histogram.
     pub fn observe(&mut self, name: &'static str, labels: &[(&str, &str)], value: f64) {
-        if !self.enabled {
-            return;
-        }
         self.declare(name, "(undocumented)", MetricKind::Histogram);
         self.histograms
             .entry(Self::key(name, labels))
@@ -248,9 +149,6 @@ impl Registry {
         labels: &[(&str, &str)],
         hist: LogHistogram,
     ) {
-        if !self.enabled {
-            return;
-        }
         self.declare(name, "(undocumented)", MetricKind::Histogram);
         self.histograms.insert(Self::key(name, labels), hist);
     }
@@ -302,16 +200,10 @@ fn borrow_labels(labels: &LabelSet) -> Vec<(&str, &str)> {
 }
 
 /// Per-job lifecycle accounting, updated from the event stream only.
-///
-/// Open span starts live here rather than in a keyed map: job ids are
-/// dense, so begin/end matching is one `Vec` index instead of an
-/// ordered-map operation per transition — the difference between fitting
-/// the 1.2x overhead budget and not.
+/// The open queue-wait or suspended interval lives in the [`PhaseCursor`].
 #[derive(Debug, Clone, Copy, Default)]
 struct JobTrack {
     submit_at: Option<SimTime>,
-    queue_since: Option<SimTime>,
-    susp_since: Option<SimTime>,
     wait_min: u64,
     susp_min: u64,
     waste_min: u64,
@@ -366,8 +258,9 @@ pub struct TelemetrySummary {
 pub struct Telemetry {
     strategy: &'static str,
     initial: &'static str,
-    events: [u64; EVENT_KINDS.len()],
+    events: EventCounts,
     spans: SpanCollector,
+    cursor: PhaseCursor<()>,
     jobs: Vec<JobTrack>,
     queue_wait_by_pool: Vec<LogHistogram>,
     suspended_by_pool: Vec<LogHistogram>,
@@ -398,7 +291,7 @@ impl std::fmt::Debug for Telemetry {
         f.debug_struct("Telemetry")
             .field("strategy", &self.strategy)
             .field("initial", &self.initial)
-            .field("events", &self.events.iter().sum::<u64>())
+            .field("events", &self.events.total())
             .field("samples", &self.samples)
             .field("completed", &self.ct_all.count())
             .field("open_spans", &self.open_spans())
@@ -412,8 +305,9 @@ impl Telemetry {
         Telemetry {
             strategy,
             initial,
-            events: [0; EVENT_KINDS.len()],
+            events: EventCounts::new(),
             spans: SpanCollector::new(),
+            cursor: PhaseCursor::new(),
             jobs: Vec::new(),
             queue_wait_by_pool: Vec::new(),
             suspended_by_pool: Vec::new(),
@@ -443,12 +337,7 @@ impl Telemetry {
     /// Event counts per transition kind seen at least once (markers
     /// excluded), in label order.
     pub fn event_counts(&self) -> BTreeMap<&'static str, u64> {
-        EVENT_KINDS
-            .iter()
-            .zip(self.events)
-            .filter(|&(_, n)| n > 0)
-            .map(|(&kind, n)| (kind, n))
-            .collect()
+        self.events.to_map()
     }
 
     /// The lifecycle span collector (per-phase latency histograms).
@@ -504,14 +393,17 @@ impl Telemetry {
     /// Lifecycle spans still open — jobs still queued, suspended, or
     /// submitted but not finished. Zero after a drained run.
     pub fn open_spans(&self) -> u64 {
-        self.jobs
+        let phases = self
+            .cursor
+            .open_phases()
+            .filter(|open| matches!(open.phase, SpanPhase::QueueWait | SpanPhase::Suspended))
+            .count();
+        let unfinished = self
+            .jobs
             .iter()
-            .map(|t| {
-                u64::from(t.queue_since.is_some())
-                    + u64::from(t.susp_since.is_some())
-                    + u64::from(!t.done && t.submit_at.is_some())
-            })
-            .sum()
+            .filter(|t| !t.done && t.submit_at.is_some())
+            .count();
+        (phases + unfinished) as u64
     }
 
     /// Span-close transitions that arrived with no matching open span.
@@ -549,26 +441,22 @@ impl Telemetry {
         &mut self.jobs[i]
     }
 
-    fn end_queue_span(&mut self, job: JobId, pool: PoolId, now: SimTime) {
-        let Some(opened) = self.track(job).queue_since.take() else {
-            self.unmatched_ends += 1;
-            return;
+    /// Records a closed queue-wait or suspended interval.
+    fn close_span(&mut self, job: JobId, open: OpenPhase<()>, now: SimTime) {
+        let len = now.since(open.since);
+        self.spans.observe(open.phase.label(), len);
+        let minutes = len.as_minutes();
+        let t = self.track(job);
+        let by_pool = if open.phase == SpanPhase::QueueWait {
+            t.wait_min += minutes;
+            &mut self.queue_wait_by_pool
+        } else {
+            t.susp_min += minutes;
+            &mut self.suspended_by_pool
         };
-        let len = now.since(opened);
-        self.spans.observe(PHASE_QUEUE_WAIT, len);
-        pool_hist(&mut self.queue_wait_by_pool, pool).record(len.as_minutes() as f64);
-        self.jobs[job.as_usize()].wait_min += len.as_minutes();
-    }
-
-    fn end_suspend_span(&mut self, job: JobId, pool: PoolId, now: SimTime) {
-        let Some(opened) = self.track(job).susp_since.take() else {
-            self.unmatched_ends += 1;
-            return;
-        };
-        let len = now.since(opened);
-        self.spans.observe(PHASE_SUSPENDED, len);
-        pool_hist(&mut self.suspended_by_pool, pool).record(len.as_minutes() as f64);
-        self.jobs[job.as_usize()].susp_min += len.as_minutes();
+        if let Some(pool) = open.pool {
+            pool_hist(by_pool, pool).record(minutes as f64);
+        }
     }
 
     fn finish_job(&mut self, job: JobId, now: SimTime, ctx: &ObsCtx<'_>) {
@@ -1071,12 +959,18 @@ fn pool_hist(hists: &mut Vec<LogHistogram>, pool: PoolId) -> &mut LogHistogram {
 
 impl SimObserver for Telemetry {
     fn on_event(&mut self, now: SimTime, event: &ObsEvent, ctx: &ObsCtx<'_>) {
-        if matches!(event, ObsEvent::Kernel { .. } | ObsEvent::BatchStart { .. }) {
-            return;
+        self.events.record(event);
+        if let Some(step) = self.cursor.step(now, event, ()) {
+            // Only queue-wait and suspended intervals are measured; an
+            // event that leaves one the cursor does not hold open is an
+            // unmatched end.
+            if let Some(left @ (SpanPhase::QueueWait | SpanPhase::Suspended)) = step.left {
+                match step.closed {
+                    Some(open) if open.phase == left => self.close_span(step.job, open, now),
+                    _ => self.unmatched_ends += 1,
+                }
+            }
         }
-        let idx = event_index(event);
-        debug_assert_eq!(EVENT_KINDS[idx], event.label());
-        self.events[idx] += 1;
         match *event {
             ObsEvent::Submit { job } => {
                 // Opens the implicit completion span (closed by finish_job).
@@ -1094,40 +988,13 @@ impl SimObserver for Telemetry {
                     }
                 }
             }
-            ObsEvent::Dispatch {
-                job,
-                pool,
-                from_queue,
-                ..
-            } => {
-                if from_queue {
-                    self.end_queue_span(job, pool, now);
-                }
-            }
-            ObsEvent::Enqueue { job, pool: _ } => {
-                self.track(job).queue_since = Some(now);
-            }
-            ObsEvent::Suspend { job, pool: _, .. } => {
-                let t = self.track(job);
-                t.susp_since = Some(now);
-                t.suspended_ever = true;
-            }
-            ObsEvent::Resume { job, pool, .. } => {
-                self.end_suspend_span(job, pool, now);
-            }
+            ObsEvent::Suspend { job, .. } => self.track(job).suspended_ever = true,
             ObsEvent::Reschedule {
                 job,
                 kind,
-                from_pool,
-                from_phase,
                 discarded,
                 ..
             } => {
-                match from_phase {
-                    PhaseTag::Suspended => self.end_suspend_span(job, from_pool, now),
-                    PhaseTag::Waiting => self.end_queue_span(job, from_pool, now),
-                    PhaseTag::Running | PhaseTag::AtVpm => {}
-                }
                 // Migrations keep their progress; every restart kind
                 // discards it (possibly zero minutes of it).
                 if kind != ReschedKind::Migrate {
@@ -1143,20 +1010,7 @@ impl SimObserver for Telemetry {
                 // The shadow copy never gets its own Submit event.
                 self.track(clone).submit_at = Some(now);
             }
-            ObsEvent::ProxyFinish {
-                job,
-                from_phase,
-                pool,
-                ..
-            } => {
-                match (from_phase, pool) {
-                    (PhaseTag::Suspended, Some(p)) => self.end_suspend_span(job, p, now),
-                    (PhaseTag::Waiting, Some(p)) => self.end_queue_span(job, p, now),
-                    _ => {}
-                }
-                self.finish_job(job, now, ctx);
-            }
-            ObsEvent::Complete { job, .. } => {
+            ObsEvent::ProxyFinish { job, .. } | ObsEvent::Complete { job, .. } => {
                 self.finish_job(job, now, ctx);
             }
             ObsEvent::RetryScheduled { resume_at, .. } => {
@@ -1164,17 +1018,7 @@ impl SimObserver for Telemetry {
                     .observe(PHASE_RETRY_BACKOFF, resume_at.since(now));
             }
             ObsEvent::Sample => self.sample(now, ctx),
-            ObsEvent::PoolChosen { .. }
-            | ObsEvent::WaitTimeout { .. }
-            | ObsEvent::MachineDown { .. }
-            | ObsEvent::MachineUp { .. }
-            | ObsEvent::MachineDraining { .. }
-            | ObsEvent::MachineUndrained { .. }
-            | ObsEvent::PoolBlacklisted { .. }
-            | ObsEvent::PolicyAudit { .. }
-            | ObsEvent::EvacAudit { .. }
-            | ObsEvent::FaultAudit { .. } => {}
-            ObsEvent::Kernel { .. } | ObsEvent::BatchStart { .. } => unreachable!(),
+            _ => {}
         }
     }
 
@@ -1194,6 +1038,7 @@ pub use netbatch_metrics::export::validate_exposition as validate_prom;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observer::PhaseTag;
     use netbatch_cluster::ids::MachineId;
     use netbatch_metrics::export::validate_exposition;
 
@@ -1207,18 +1052,6 @@ mod tests {
 
     fn t(m: u64) -> SimTime {
         SimTime::from_minutes(m)
-    }
-
-    #[test]
-    fn registry_disabled_is_a_noop() {
-        let mut reg = Registry::disabled();
-        reg.inc("x_total", &[("a", "b")], 5);
-        reg.gauge("g", &[], 1.0);
-        reg.observe("h_minutes", &[], 3.0);
-        assert!(!reg.is_enabled());
-        assert_eq!(reg.counter_value("x_total", &[("a", "b")]), 0);
-        assert_eq!(reg.gauge_value("g", &[]), None);
-        assert!(reg.render().is_empty());
     }
 
     #[test]
@@ -1409,6 +1242,34 @@ mod tests {
             &c,
         );
         assert_eq!(tel.spans().phase(PHASE_RESTART_WASTE).unwrap().count(), 1);
+    }
+
+    #[test]
+    fn closes_without_their_open_phase_are_unmatched() {
+        let shadows = Default::default();
+        let c = ctx(&shadows);
+        let mut tel = Telemetry::new("NoRes", "RoundRobin");
+        let (job, pool, machine) = (JobId(0), PoolId(0), MachineId(0));
+        tel.on_event(t(0), &ObsEvent::Submit { job }, &c);
+        // Resumed without a suspension, then started "from the queue"
+        // while running: two ends with no matching open span.
+        tel.on_event(t(5), &ObsEvent::Resume { job, pool, machine }, &c);
+        tel.on_event(
+            t(9),
+            &ObsEvent::Dispatch {
+                job,
+                pool,
+                machine,
+                wall: SimDuration::from_minutes(10),
+                from_queue: true,
+            },
+            &c,
+        );
+        assert_eq!(tel.unmatched_ends(), 2);
+        assert!(tel.spans().phase(PHASE_QUEUE_WAIT).is_none());
+        assert!(tel.spans().phase(PHASE_SUSPENDED).is_none());
+        // Only the unfinished submission is still open.
+        assert_eq!(tel.open_spans(), 1);
     }
 
     #[test]

@@ -17,6 +17,9 @@
 //!   methodology;
 //! * reproducible, splittable randomness ([`rng::DetRng`]).
 //!
+//! The kernel is generic over the event alphabet and never names event
+//! kinds: a simulation labels its own events (netbatch's `Ev::label`).
+//!
 //! Everything upstream (cluster model, workloads, policies) is pure logic on
 //! top of these primitives, which is what makes whole-trace simulations
 //! bit-for-bit reproducible from a seed.
@@ -57,7 +60,6 @@
 
 pub mod epoch;
 pub mod executor;
-pub mod observe;
 pub mod queue;
 pub mod rng;
 pub mod sampler;
@@ -66,7 +68,6 @@ pub mod time;
 /// Convenient glob-import surface for downstream crates.
 pub mod prelude {
     pub use crate::executor::{Control, Executor, Handler, RunOutcome, RunStats, Scheduler};
-    pub use crate::observe::EventLabel;
     pub use crate::queue::{EventId, EventQueue};
     pub use crate::rng::DetRng;
     pub use crate::sampler::PeriodicSampler;

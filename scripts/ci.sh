@@ -98,6 +98,23 @@ grep -q '^## Site timeline (Figure 4, 100-minute buckets)$' "$tmpdir/report.md"
 test -s "$tmpdir/fig_cdf.csv" && test -s "$tmpdir/fig_timeline.csv" \
   && test -s "$tmpdir/fig_pools.csv"
 
+# Stats smoke: `--stats` prints the per-kind event counts and the kernel
+# profiler's handler wall time, on a materialized run and on a streaming
+# run (whose observers must not read per-job state). The lane greps pin
+# where each run's handler time comes from.
+echo "==> stats smoke (serial + streaming)"
+cargo run --release --bin netbatch -- simulate \
+  --scale 0.02 --strategy ResSusWaitUtil --stats > "$tmpdir/stats.txt"
+cargo run --release --bin netbatch -- simulate \
+  --stream-workload --pools 8 --horizon week --scale 0.02 \
+  --backend sharded --shards 2 --stats > "$tmpdir/stream_stats.txt"
+for out in "$tmpdir/stats.txt" "$tmpdir/stream_stats.txt"; do
+  grep -q '^event counts:$' "$out"
+  grep -q '^handler wall time by kernel event:$' "$out"
+done
+grep -q '^  serial;submit ' "$tmpdir/stats.txt"
+grep -q '^  shard0;submit ' "$tmpdir/stream_stats.txt"
+
 # Provenance trace smoke: record spans on a chaos run, query one job's
 # causal chain (with the --why decision audit) through the trace CLI,
 # export and JSON-validate a Perfetto trace, and reconcile the span

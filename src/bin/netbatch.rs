@@ -15,7 +15,7 @@ use std::process::ExitCode;
 
 use netbatch::core::experiment::{Experiment, ExperimentResult};
 use netbatch::core::faults::{FaultModel, LifecycleModel, ResiliencePolicy};
-use netbatch::core::observer::{StatsProbe, TraceRecorder};
+use netbatch::core::observer::{EventCounts, TraceRecorder};
 use netbatch::core::policy::{InitialKind, StrategyKind};
 use netbatch::core::provenance::{perfetto_from_jsonl, SpanRecorder};
 use netbatch::core::simulator::{Backend, SimConfig, Simulator};
@@ -694,7 +694,7 @@ fn run(cmd: Command) -> Result<(), String> {
             config.check_invariants = check_invariants;
             config.telemetry = metrics_out.is_some();
             config.spans = spans_out.is_some();
-            config.profile = profile_out.is_some();
+            config.profile = profile_out.is_some() || stats;
             config.backend = backend;
             let t0 = std::time::Instant::now();
             // Observer-carrying runs drive the simulator directly; the
@@ -716,7 +716,7 @@ fn run(cmd: Command) -> Result<(), String> {
                     sim.attach_observer(Box::new(rec));
                 }
                 if stats {
-                    sim.attach_observer(Box::new(StatsProbe::new()));
+                    sim.attach_observer(Box::new(EventCounts::new()));
                 }
                 let mut output = sim.run_to_completion();
                 let observers = std::mem::take(&mut output.observers);
@@ -823,14 +823,16 @@ fn run(cmd: Command) -> Result<(), String> {
             for obs in &observers {
                 if let Some(rec) = obs.as_any().downcast_ref::<TraceRecorder>() {
                     if let Some(path) = &trace_out {
+                        trace_written(rec, path)?;
                         status!("trace: {} events written to {path}", rec.events());
                     }
                 }
-                if let Some(probe) = obs.as_any().downcast_ref::<StatsProbe>() {
+                if let Some(counts) = obs.as_any().downcast_ref::<EventCounts>() {
+                    let report = counts.report(profile.as_ref().ok_or(NO_PROFILE)?);
                     if quiet {
-                        eprint!("{}", probe.report());
+                        eprint!("{report}");
                     } else {
-                        print!("{}", probe.report());
+                        print!("{report}");
                     }
                 }
                 if let Some(tel) = obs.as_any().downcast_ref::<Telemetry>() {
@@ -855,7 +857,7 @@ fn run(cmd: Command) -> Result<(), String> {
                 }
             }
             if let Some(path) = &profile_out {
-                let profile = profile.ok_or("internal: kernel profile missing from run output")?;
+                let profile = profile.ok_or(NO_PROFILE)?;
                 write_sink(path, &profile.render_folded())?;
                 status!(
                     "profile: {} events over {} lanes written to {path}",
@@ -1078,7 +1080,7 @@ fn simulate_streaming(
     if sample || series_out.is_some() {
         config = config.with_sampling();
     }
-    config.profile = profile_out.is_some();
+    config.profile = profile_out.is_some() || stats;
     let site = p.build_site();
     let workload = p.build_workload();
     let mut sim = Simulator::new(&site, Vec::new(), config);
@@ -1091,7 +1093,7 @@ fn simulate_streaming(
         sim.attach_observer(Box::new(rec));
     }
     if stats {
-        sim.attach_observer(Box::new(StatsProbe::new()));
+        sim.attach_observer(Box::new(EventCounts::new()));
     }
     let t0 = std::time::Instant::now();
     let mut output = sim.run_streaming(&workload, p.seed);
@@ -1140,22 +1142,21 @@ fn simulate_streaming(
     for obs in &output.observers {
         if let Some(rec) = obs.as_any().downcast_ref::<TraceRecorder>() {
             if let Some(path) = &trace_out {
+                trace_written(rec, path)?;
                 status!("trace: {} events written to {path}", rec.events());
             }
         }
-        if let Some(probe) = obs.as_any().downcast_ref::<StatsProbe>() {
+        if let Some(counts) = obs.as_any().downcast_ref::<EventCounts>() {
+            let report = counts.report(output.profile.as_ref().ok_or(NO_PROFILE)?);
             if quiet {
-                eprint!("{}", probe.report());
+                eprint!("{report}");
             } else {
-                print!("{}", probe.report());
+                print!("{report}");
             }
         }
     }
     if let Some(path) = &profile_out {
-        let profile = output
-            .profile
-            .take()
-            .ok_or("internal: kernel profile missing from run output")?;
+        let profile = output.profile.take().ok_or(NO_PROFILE)?;
         write_sink(path, &profile.render_folded())?;
         status!(
             "profile: {} events over {} lanes written to {path}",
@@ -1164,6 +1165,16 @@ fn simulate_streaming(
         );
     }
     Ok(())
+}
+
+const NO_PROFILE: &str = "internal: kernel profile missing from run output";
+
+/// The trace recorder's first write error, if it hit one, as the CLI error.
+fn trace_written(rec: &TraceRecorder, path: &str) -> Result<(), String> {
+    match rec.error() {
+        Some(e) => Err(format!("cannot write trace to {path}: {e}")),
+        None => Ok(()),
+    }
 }
 
 /// Writes `text` to `path`, or to stdout when `path` is `-`.
@@ -1711,6 +1722,23 @@ mod tests {
         // The streaming knobs are meaningless on materialized runs.
         assert!(run_err("simulate --pools 4").contains("--stream-workload"));
         assert!(run_err("simulate --horizon year").contains("--stream-workload"));
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn trace_write_errors_are_returned_not_panicked() {
+        // /dev/full opens fine and fails every write with ENOSPC.
+        for cmd in [
+            "simulate --scale 0.002 --trace-out /dev/full",
+            "simulate --stream-workload --pools 2 --horizon 600 --scale 0.02 \
+             --trace-out /dev/full",
+        ] {
+            let err = run(parse_args(&args(cmd)).unwrap()).unwrap_err();
+            assert!(
+                err.contains("cannot write trace to /dev/full"),
+                "{cmd}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! week at a small scale) must stay **byte-identical** to the committed
 //! fixture. Any change to event ordering, payload rendering, or simulator
 //! scheduling shows up here as a one-line diff before it can silently
-//! shift the paper's tables.
+//! shift the paper's tables. A chaos cell pins the observer outputs the
+//! same way: its spans JSONL and Prometheus exposition must replay byte
+//! for byte.
 //!
 //! To regenerate after an *intentional* behaviour change:
 //!
@@ -13,9 +15,11 @@
 //!
 //! and review the fixture diff like any other code change.
 
+use netbatch::core::faults::{FaultModel, LifecycleModel, ResiliencePolicy};
 use netbatch::core::observer::TraceRecorder;
 use netbatch::core::policy::{InitialKind, StrategyKind};
-use netbatch::core::simulator::{SimConfig, Simulator};
+use netbatch::core::provenance::SpanRecorder;
+use netbatch::core::simulator::{SimConfig, SimOutput, Simulator};
 use netbatch::core::telemetry::Telemetry;
 use netbatch::sim_engine::time::SimDuration;
 use netbatch::workload::scenarios::{ScenarioParams, SiteSpec};
@@ -29,13 +33,19 @@ const GOLDEN_SCALE: f64 = 0.002;
 /// Fixture path relative to the crate root.
 const GOLDEN_PATH: &str = "tests/golden/table1_nores_rr.jsonl";
 
+/// Runs `trace` on `site` with an in-memory recorder attached (next to
+/// whatever observers `config` switches on) and returns the run output.
+fn run_recorded(site: &SiteSpec, trace: &Trace, config: SimConfig) -> SimOutput {
+    let mut sim = Simulator::new(site, trace.to_specs(), config);
+    sim.attach_observer(Box::new(TraceRecorder::in_memory()));
+    sim.run_to_completion()
+}
+
 /// Runs `trace` on `site` with a recorder attached and returns the JSONL
 /// event stream.
 fn record(site: &SiteSpec, trace: &Trace, config: SimConfig) -> String {
-    let mut sim = Simulator::new(site, trace.to_specs(), config);
-    sim.attach_observer(Box::new(TraceRecorder::in_memory()));
-    let out = sim.run_to_completion();
-    out.observer::<TraceRecorder>()
+    run_recorded(site, trace, config)
+        .observer::<TraceRecorder>()
         .expect("recorder attached")
         .lines()
         .to_string()
@@ -244,4 +254,78 @@ fn reference_heap_queue_reproduces_the_stale_view_fixture() {
     }
     let recorded = record_stale_view_rr_ressusutil_on(true);
     assert_matches_fixture(STALE_VIEW_PATH, &recorded, "reference heap");
+}
+
+/// Scale for the observed chaos cell: small enough that each rendered
+/// fixture stays under 500 KB (the spans file is 2.7 MB at the provenance
+/// suite's 0.02), large enough that the cell still suspends, faults,
+/// evacuates and backs off.
+const CHAOS_OBSERVED_SCALE: f64 = 0.0014;
+
+/// Span trees (spans JSONL) of the observed chaos cell.
+const CHAOS_SPANS_PATH: &str = "tests/golden/chaos_observed_spans.jsonl";
+
+/// Prometheus exposition of the observed chaos cell.
+const CHAOS_PROM_PATH: &str = "tests/golden/chaos_observed_metrics.prom";
+
+/// The chaos cell of `tests/provenance.rs` (faults, maintenance and rolling
+/// lifecycle windows, hardened resilience with evacuation, on the halved
+/// site) with telemetry and the span recorder attached. Returns the spans
+/// JSONL and the Prometheus exposition.
+fn render_chaos_observed() -> (String, String) {
+    let params = ScenarioParams::normal_week(CHAOS_OBSERVED_SCALE);
+    let mut config = SimConfig::new(InitialKind::RoundRobin, StrategyKind::ResSusWaitUtil);
+    config.telemetry = true;
+    config.spans = true;
+    config.seed = 7;
+    config.fault_model = Some(FaultModel::new(
+        SimDuration::from_hours(24),
+        SimDuration::from_hours(6),
+        SimDuration::from_days(8),
+    ));
+    config.resilience = ResiliencePolicy::hardened().with_evacuation();
+    config.lifecycle = Some(
+        LifecycleModel::new(SimDuration::from_days(8))
+            .with_maintenance(SimDuration::from_hours(48), SimDuration::from_hours(2))
+            .with_rolling(1, 0.25, SimDuration::from_hours(1)),
+    );
+    config.health_aware = true;
+    let out = run_recorded(
+        &params.build_site().halved(),
+        &params.generate_trace(),
+        config,
+    );
+    let spans = out
+        .observer::<SpanRecorder>()
+        .expect("span recorder attached via SimConfig")
+        .render_jsonl();
+    let prom = out
+        .observer::<Telemetry>()
+        .expect("telemetry attached via SimConfig")
+        .render_prom();
+    (spans, prom)
+}
+
+#[test]
+fn chaos_spans_and_metrics_match_golden_fixtures() {
+    let (spans, prom) = render_chaos_observed();
+    for needle in [
+        "\"type\":\"policy\"",
+        "\"type\":\"fault\"",
+        "\"type\":\"evacuation\"",
+        "\"phase\":\"backoff\"",
+    ] {
+        assert!(spans.contains(needle), "chaos cell never recorded {needle}");
+    }
+    assert!(prom.contains("netbatch_span_open 0"));
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        for (rel, text) in [(CHAOS_SPANS_PATH, &spans), (CHAOS_PROM_PATH, &prom)] {
+            let path = format!("{}/{rel}", env!("CARGO_MANIFEST_DIR"));
+            fs::write(&path, text).expect("write golden fixture");
+            println!("golden fixture regenerated at {path}");
+        }
+        return;
+    }
+    assert_matches_fixture(CHAOS_SPANS_PATH, &spans, "spans");
+    assert_matches_fixture(CHAOS_PROM_PATH, &prom, "metrics");
 }

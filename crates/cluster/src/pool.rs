@@ -212,6 +212,8 @@ pub struct PhysicalPool {
     scratch_resume: Vec<JobId>,
     /// Sort-key buffer threaded through the machine-level planners.
     scratch_keys: crate::machine::ResidentKeys,
+    /// Mutation counter (see [`PhysicalPool::version`]).
+    version: u64,
 }
 
 impl PhysicalPool {
@@ -255,7 +257,22 @@ impl PhysicalPool {
             scratch_best: Vec::new(),
             scratch_resume: Vec::new(),
             scratch_keys: Vec::new(),
+            version: 0,
         }
+    }
+
+    /// The pool's mutation counter. Every `&mut` method bumps it (a
+    /// submit only when the pool is eligible: an ineligible submit
+    /// changes nothing), so a [`PoolSnapshot`](crate::snapshot::PoolSnapshot)
+    /// captured at version `v` stays exact while `version() == v`. The
+    /// simulator's cluster view re-captures only the pools whose version
+    /// moved.
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
+    fn bump_version(&mut self) {
+        self.version = self.version.wrapping_add(1);
     }
 
     /// Re-syncs the availability index for machine `idx` after any state
@@ -427,6 +444,7 @@ impl PhysicalPool {
         if !self.is_eligible(res) {
             return SubmitKind::Ineligible;
         }
+        self.bump_version();
         // 1. First eligible machine with free capacity — indexed query,
         // cross-checked against the reference linear scan in debug builds.
         let first_fit = self.index.first_fit(res);
@@ -597,6 +615,7 @@ impl PhysicalPool {
         job: JobId,
         actions: &mut Vec<PoolAction>,
     ) -> bool {
+        self.bump_version();
         let Some(mid) = self.running_on.remove(&job) else {
             return false;
         };
@@ -612,6 +631,7 @@ impl PhysicalPool {
     ///
     /// Returns the entry, or `None` if the job is not waiting here.
     pub fn remove_waiting(&mut self, job: JobId) -> Option<WaitEntry> {
+        self.bump_version();
         let key = self.queue_index.remove(&job)?;
         let entry = self.queue.remove(&key);
         if let Some(e) = &entry {
@@ -641,6 +661,7 @@ impl PhysicalPool {
         job: JobId,
         actions: &mut Vec<PoolAction>,
     ) -> bool {
+        self.bump_version();
         let Some(mid) = self.suspended_on.remove(&job) else {
             return false;
         };
@@ -749,6 +770,7 @@ impl PhysicalPool {
         running: &mut Vec<JobId>,
         suspended: &mut Vec<JobId>,
     ) -> bool {
+        self.bump_version();
         let idx = machine.as_usize();
         if idx >= self.machines.len() || self.machines[idx].is_down() {
             return false;
@@ -790,6 +812,7 @@ impl PhysicalPool {
         machine: MachineId,
         actions: &mut Vec<PoolAction>,
     ) -> bool {
+        self.bump_version();
         let idx = machine.as_usize();
         if idx >= self.machines.len() || !self.machines[idx].is_down() {
             return false;
@@ -809,6 +832,7 @@ impl PhysicalPool {
     /// index, accepting no new work, while residents keep running (and
     /// resuming). Returns whether the machine was not already draining.
     pub fn drain_machine(&mut self, machine: MachineId) -> bool {
+        self.bump_version();
         let idx = machine.as_usize();
         if idx >= self.machines.len() || self.machines[idx].is_draining() {
             return false;
@@ -841,6 +865,7 @@ impl PhysicalPool {
         machine: MachineId,
         actions: &mut Vec<PoolAction>,
     ) -> bool {
+        self.bump_version();
         let idx = machine.as_usize();
         if idx >= self.machines.len() || !self.machines[idx].is_draining() {
             return false;
@@ -874,6 +899,7 @@ impl PhysicalPool {
     /// Sets a machine's per-run health score (clamped to 0..=1000),
     /// keeping the effective-capacity sum consistent.
     pub fn set_machine_health(&mut self, machine: MachineId, health_milli: u32) {
+        self.bump_version();
         let idx = machine.as_usize();
         if idx >= self.machines.len() {
             return;
@@ -1221,6 +1247,7 @@ mod tests {
 
     mod prop {
         use super::*;
+        use crate::snapshot::PoolSnapshot;
         use proptest::prelude::*;
 
         /// One random pool operation.
@@ -1366,6 +1393,7 @@ mod tests {
                 for op in ops {
                     now += 1;
                     let t = SimTime::from_minutes(now);
+                    let before = (pool.version(), PoolSnapshot::capture(&pool));
                     match op {
                         Op::Submit { prio, cores, mem, runtime } => {
                             let spec = JobSpec::new(
@@ -1418,6 +1446,11 @@ mod tests {
                         }
                     }
                     prop_assert!(pool.check_invariants(), "invariants violated after {op:?}");
+                    // An unmoved version promises an unchanged snapshot.
+                    prop_assert!(
+                        pool.version() != before.0 || PoolSnapshot::capture(&pool) == before.1,
+                        "{op:?} changed the pool without bumping its version"
+                    );
                     prop_assert!(pool.busy_cores() <= pool.total_cores());
                     prop_assert!(pool.utilization() <= 1.0 + 1e-12);
                 }
@@ -1502,6 +1535,39 @@ mod tests {
         p.undrain_machine(t(2), MachineId(0)).expect("draining");
         assert_eq!(p.effective_cores_milli(), 4 * 1000);
         assert!(p.check_invariants());
+    }
+
+    #[test]
+    fn every_mutation_bumps_the_version() {
+        let mut p = small_pool();
+        let mut last = p.version();
+        let mut bumped = |p: &PhysicalPool| {
+            let moved = p.version() != last;
+            last = p.version();
+            moved
+        };
+        // An ineligible submit changes nothing and keeps the version.
+        let huge = spec(9, Priority::LOW, 10).with_cores(64);
+        assert_eq!(p.submit(t(0), &huge), SubmitOutcome::Ineligible);
+        assert!(!bumped(&p));
+        p.submit(t(0), &spec(1, Priority::LOW, 10));
+        assert!(bumped(&p));
+        p.release(t(1), JobId(1)).expect("running");
+        assert!(bumped(&p));
+        assert!(p.drain_machine(MachineId(0)));
+        assert!(bumped(&p));
+        p.undrain_machine(t(2), MachineId(0)).expect("draining");
+        assert!(bumped(&p));
+        p.fail_machine(MachineId(1)).expect("up");
+        assert!(bumped(&p));
+        p.restore_machine(t(3), MachineId(1)).expect("down");
+        assert!(bumped(&p));
+        p.set_machine_health(MachineId(0), 500);
+        assert!(bumped(&p));
+        p.remove_waiting(JobId(1));
+        assert!(bumped(&p));
+        p.remove_suspended(t(4), JobId(1));
+        assert!(bumped(&p));
     }
 
     #[test]

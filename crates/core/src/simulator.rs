@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 use netbatch_cluster::ids::{JobId, MachineId, PoolId};
 use netbatch_cluster::job::{JobRecord, JobSpec, PoolAffinity};
 use netbatch_cluster::pool::{PhysicalPool, PoolAction, SubmitKind};
-use netbatch_cluster::snapshot::ClusterSnapshot;
+use netbatch_cluster::snapshot::{ClusterSnapshot, PoolSnapshot};
 use netbatch_metrics::timeseries::TimeSeries;
 use netbatch_sim_engine::executor::{Control, Executor, Handler, RunOutcome, Scheduler};
 use netbatch_sim_engine::queue::EventQueue;
@@ -414,20 +414,20 @@ pub struct RunCounters {
 }
 
 /// Reusable buffers for the per-event hot path: in steady state every
-/// event is handled without heap allocation — candidate lists, preference
-/// orders, pool-action batches, cascade worklists and spec clones all come
-/// from (and return to) these free lists.
+/// event is handled without heap allocation — candidate lists, pool-action
+/// batches, cascade worklists and spec clones all come from (and return
+/// to) these free lists.
 ///
 /// Buffers that can be live at several nesting depths at once are pooled
 /// as free lists rather than held as single fields: a rescheduling cascade
-/// can re-enter `route_via_vpm` (and thus need a second preference order
-/// and worklist) while an outer routing loop still holds its own. Buffers
+/// can re-enter `route_via_vpm` (and thus need a second candidate list
+/// and worklist) while an outer routing call still holds its own. Buffers
 /// only used by non-reentrant handlers (machine failures) are plain fields
 /// taken with `std::mem::take` for the duration of the handler.
 #[derive(Default)]
 struct Scratch {
-    /// Free list of pool-id buffers (affinity candidates, preference
-    /// orders, capable/up filters).
+    /// Free list of pool-id buffers (affinity candidates, capable/up
+    /// filters).
     pool_lists: Vec<Vec<PoolId>>,
     /// Free list of pool-action batches.
     actions: Vec<Vec<PoolAction>>,
@@ -522,6 +522,9 @@ pub struct Simulator {
     // view_staleness; `view_at == None` means the snapshot is stale).
     view_snap: ClusterSnapshot,
     view_at: Option<SimTime>,
+    // Per-pool `PhysicalPool::version` at its last capture into
+    // `view_snap`.
+    view_versions: Vec<u64>,
     // Reusable hot-path buffers (see `Scratch`).
     scratch: Scratch,
     // Progress.
@@ -653,6 +656,8 @@ impl Simulator {
         let sampler = config
             .sample_interval
             .map(|interval| PeriodicSampler::new(SimTime::ZERO, interval));
+        let view_snap = ClusterSnapshot::capture(&pools);
+        let view_versions = pools.iter().map(PhysicalPool::version).collect();
         Simulator {
             pools,
             jobs: specs.into_iter().map(JobRecord::new).collect(),
@@ -669,8 +674,9 @@ impl Simulator {
             policy_rng,
             pool_count,
             lifecycle_plan,
-            view_snap: ClusterSnapshot::default(),
+            view_snap,
             view_at: None,
+            view_versions,
             scratch: Scratch::default(),
             total_jobs,
             counters: RunCounters::default(),
@@ -869,17 +875,34 @@ impl Simulator {
 
     /// Brings the policy's (possibly stale) cluster view up to date in
     /// place; after this call `self.view_snap` is what decisions at `now`
-    /// should see. Refreshing in place reuses the snapshot's pool buffer
-    /// rather than cloning a fresh snapshot per decision.
+    /// should see. A refresh makes one version comparison per pool and
+    /// re-captures only the pools whose [`PhysicalPool::version`] moved
+    /// since their last capture, so the view equals a full capture.
     fn refresh_view(&mut self, now: SimTime) {
         let fresh_needed = match self.view_at {
             Some(at) => now.since(at) > self.config.view_staleness,
             None => true,
         };
-        if fresh_needed {
-            self.view_snap.capture_into(self.pools.iter());
-            self.view_at = Some(now);
+        if !fresh_needed {
+            return;
         }
+        let cached = self.view_snap.pools.iter_mut().zip(&mut self.view_versions);
+        for ((snap, seen), pool) in cached.zip(&self.pools) {
+            if *seen != pool.version() {
+                *snap = PoolSnapshot::capture(pool);
+                *seen = pool.version();
+            }
+        }
+        if cfg!(debug_assertions) {
+            for (snap, pool) in self.view_snap.pools.iter().zip(&self.pools) {
+                debug_assert_eq!(
+                    *snap,
+                    PoolSnapshot::capture(pool),
+                    "incremental view diverged from a full capture"
+                );
+            }
+        }
+        self.view_at = Some(now);
     }
 
     /// [`Simulator::refresh_view`] for an initial-routing decision.
@@ -987,48 +1010,54 @@ impl Simulator {
         }
     }
 
-    /// Routes a job through the virtual pool manager: try pools in the
-    /// initial scheduler's preference order, bouncing on ineligibility.
+    /// Routes a job through the virtual pool manager: the initial
+    /// scheduler picks one pool among the job's candidates.
     fn route_via_vpm(&mut self, job: JobId, now: SimTime, sched: &mut Scheduler<'_, Ev>) {
         let spec = self.scratch.take_spec(self.jobs[job.as_usize()].spec());
         let mut candidates = self.scratch.take_pool_list();
         self.initial_candidates_into(&spec, &mut candidates);
-        self.refresh_routing_view(now);
-        let mut order = self.scratch.take_pool_list();
-        self.initial
-            .order_into(&spec, &candidates, &self.view_snap, &mut order);
-        let mut routed = false;
-        for &pool in &order {
-            if self.try_pool(pool, &spec, now, sched) {
-                routed = true;
-                break;
-            }
-        }
-        if !routed {
-            // No pool can ever run this job.
-            self.give_up(job, now);
-        }
-        self.scratch.put_pool_list(order);
+        self.route_among(&spec, &candidates, now, sched);
         self.scratch.put_pool_list(candidates);
         self.scratch.put_spec(spec);
     }
 
-    /// Tries one pool; `true` if the job was dispatched or queued there,
-    /// `false` if the pool is ineligible.
+    /// Sends the job to the first pool of the initial scheduler's
+    /// preference order over `candidates` that can ever run it, or gives
+    /// up when none can.
+    fn route_among(
+        &mut self,
+        spec: &JobSpec,
+        candidates: &[PoolId],
+        now: SimTime,
+        sched: &mut Scheduler<'_, Ev>,
+    ) {
+        self.refresh_routing_view(now);
+        let pools = &self.pools;
+        let eligible = |p: PoolId| pools[p.as_usize()].is_eligible(spec.resources);
+        match self
+            .initial
+            .pick(spec, candidates, &self.view_snap, &eligible)
+        {
+            Some(pool) => self.try_pool(pool, spec, now, sched),
+            None => self.give_up(spec.id, now),
+        }
+    }
+
+    /// Submits the job to `pool`, which must be eligible for it: the job
+    /// is dispatched (possibly preempting) or queued there.
     fn try_pool(
         &mut self,
         pool: PoolId,
         spec: &JobSpec,
         now: SimTime,
         sched: &mut Scheduler<'_, Ev>,
-    ) -> bool {
+    ) {
         let mut actions = self.scratch.take_actions();
-        let placed = match self.pools[pool.as_usize()].submit_into(now, spec, &mut actions) {
+        match self.pools[pool.as_usize()].submit_into(now, spec, &mut actions) {
             SubmitKind::Dispatched => {
                 self.touch_view();
                 self.emit(now, ObsEvent::PoolChosen { job: spec.id, pool });
                 self.apply_actions(pool, &actions, now, sched);
-                true
             }
             SubmitKind::Queued => {
                 self.touch_view();
@@ -1038,12 +1067,10 @@ impl Simulator {
                     .expect("job routed while at VPM");
                 self.emit(now, ObsEvent::Enqueue { job: spec.id, pool });
                 self.arm_wait_timer(spec.id, now, sched);
-                true
             }
-            SubmitKind::Ineligible => false,
-        };
+            SubmitKind::Ineligible => unreachable!("the initial scheduler picks eligible pools"),
+        }
         self.scratch.put_actions(actions);
-        placed
     }
 
     /// The most wait-check timer re-arms a job may consume per waiting
@@ -1738,21 +1765,7 @@ impl Simulator {
                 self.schedule_retry(job, now, sched);
             }
         } else {
-            self.refresh_routing_view(now);
-            let mut order = self.scratch.take_pool_list();
-            self.initial
-                .order_into(&spec, &up, &self.view_snap, &mut order);
-            let mut routed = false;
-            for &pool in &order {
-                if self.try_pool(pool, &spec, now, sched) {
-                    routed = true;
-                    break;
-                }
-            }
-            if !routed {
-                self.give_up(job, now);
-            }
-            self.scratch.put_pool_list(order);
+            self.route_among(&spec, &up, now, sched);
         }
         self.scratch.put_pool_list(up);
         self.scratch.put_pool_list(capable);

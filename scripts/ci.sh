@@ -54,6 +54,15 @@ cargo run --release --bin netbatch -- simulate \
   --fault-mtbf 24 --fault-mttr 4 --fault-pool-outages 1 \
   --fault-flaky 0.05 --hardened
 
+# Utilization-based smoke: the §3.2.2 initial scheduler over a 30-minute
+# stale cluster view, health-aware, with stochastic faults, under the
+# online invariant checker. Routing reads pool versions that fail/restore
+# events bump, through the incremental view refresh.
+echo "==> invariant-checked utilization-based smoke (stale view, faults)"
+cargo run --release --bin netbatch -- simulate \
+  --scale 0.02 --initial util --staleness 30 --strategy ResSusWaitUtil \
+  --health-aware --fault-mtbf 24 --fault-mttr 4 --check-invariants
+
 # Lifecycle smoke: scheduled maintenance drains, a rolling-update wave
 # and health cordons with proactive evacuation, layered over stochastic
 # faults, on both backend settings, under the online invariant checker (which

@@ -292,6 +292,19 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
             None => Ok(default),
         }
     };
+    // The site and arrival-rate scale: a non-positive or non-finite value
+    // would only panic later, deep in site or workload generation.
+    let scale = || -> Result<f64, String> {
+        let scale = num("scale", 0.1)?;
+        if scale > 0.0 && scale.is_finite() {
+            Ok(scale)
+        } else {
+            Err(format!(
+                "--scale must be a positive finite number, got {}",
+                get("scale").unwrap_or_default()
+            ))
+        }
+    };
     let int = |name: &str| -> Result<Option<u64>, String> {
         match get(name) {
             Some(v) => v
@@ -314,7 +327,7 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
     match cmd {
         "generate" => Ok(Command::Generate {
             scenario: get("scenario").unwrap_or_else(|| "normal".into()),
-            scale: num("scale", 0.1)?,
+            scale: scale()?,
             seed: int("seed")?,
             out: get("out").ok_or("generate needs --out FILE")?,
         }),
@@ -323,12 +336,12 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                 .first()
                 .cloned()
                 .ok_or("analyze needs a trace file argument")?,
-            scale: num("scale", 0.1)?,
+            scale: scale()?,
         }),
         "simulate" => Ok(Command::Simulate {
             trace: get("trace"),
             scenario: get("scenario").unwrap_or_else(|| "normal".into()),
-            scale: num("scale", 0.1)?,
+            scale: scale()?,
             seed: int("seed")?,
             strategy: parse_strategy(&get("strategy").unwrap_or_else(|| "NoRes".into()))?,
             initial: parse_initial(&get("initial").unwrap_or_else(|| "rr".into()))?,
@@ -365,7 +378,7 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
         "report" => Ok(Command::Report {
             trace: get("trace"),
             scenario: get("scenario").unwrap_or_else(|| "normal".into()),
-            scale: num("scale", 0.1)?,
+            scale: scale()?,
             seed: int("seed")?,
             strategy: parse_strategy(&get("strategy").unwrap_or_else(|| "NoRes".into()))?,
             initial: parse_initial(&get("initial").unwrap_or_else(|| "rr".into()))?,
@@ -1560,6 +1573,44 @@ mod tests {
         );
         assert!(run_err("simulate --scale 0.001 --fault-flaky 1.5").contains("--fault-flaky"));
         assert!(run_err("simulate --scale 0.001 --fault-flaky NaN").contains("[0, 1]"));
+    }
+
+    /// Every subcommand that takes `--scale` rejects `value` with the
+    /// typed message instead of panicking later.
+    fn assert_scale_rejected(value: &str) {
+        for cmd in [
+            "generate --out t.csv",
+            "analyze t.csv",
+            "simulate",
+            "report",
+        ] {
+            let err = parse_args(&args(&format!("{cmd} --scale {value}"))).unwrap_err();
+            assert_eq!(
+                err,
+                format!("--scale must be a positive finite number, got {value}"),
+                "{cmd}"
+            );
+        }
+    }
+
+    #[test]
+    fn zero_scale_is_rejected() {
+        assert_scale_rejected("0");
+    }
+
+    #[test]
+    fn negative_scale_is_rejected() {
+        assert_scale_rejected("-1");
+    }
+
+    #[test]
+    fn nan_scale_is_rejected() {
+        assert_scale_rejected("nan");
+    }
+
+    #[test]
+    fn infinite_scale_is_rejected() {
+        assert_scale_rejected("inf");
     }
 
     #[test]

@@ -15,13 +15,14 @@
 //!
 //! and review the fixture diff like any other code change.
 
+use netbatch::cluster::snapshot::PoolSnapshot;
 use netbatch::core::faults::{FaultModel, LifecycleModel, ResiliencePolicy};
-use netbatch::core::observer::TraceRecorder;
+use netbatch::core::observer::{ObsCtx, ObsEvent, SimObserver, TraceRecorder};
 use netbatch::core::policy::{InitialKind, StrategyKind};
 use netbatch::core::provenance::SpanRecorder;
 use netbatch::core::simulator::{SimConfig, SimOutput, Simulator};
 use netbatch::core::telemetry::Telemetry;
-use netbatch::sim_engine::time::SimDuration;
+use netbatch::sim_engine::time::{SimDuration, SimTime};
 use netbatch::workload::scenarios::{ScenarioParams, SiteSpec};
 use netbatch::workload::trace::Trace;
 use std::fs;
@@ -328,4 +329,134 @@ fn chaos_spans_and_metrics_match_golden_fixtures() {
     }
     assert_matches_fixture(CHAOS_SPANS_PATH, &spans, "spans");
     assert_matches_fixture(CHAOS_PROM_PATH, &prom, "metrics");
+}
+
+/// Scale for the utilization-based chaos fixture: small enough to keep the
+/// fixture under 500 KB, large enough that machines fail, drain and come
+/// back while the scheduler ranks pools by effective utilization.
+const UTIL_CHAOS_SCALE: f64 = 0.003;
+
+/// Fixture for utilization-based routing on a faulty, lifecycle-managed,
+/// health-aware site: every routing decision reads pool versions bumped by
+/// fail, restore, drain and health changes.
+const UTIL_CHAOS_PATH: &str = "tests/golden/util_chaos_rswu.jsonl";
+
+/// Counts pool choices made while some pool had no effective capacity
+/// but still ran work, the state in which health-aware utilization reads
+/// `INFINITY`.
+#[derive(Debug, Default)]
+struct InfiniteLoadProbe {
+    choices: u64,
+}
+
+impl SimObserver for InfiniteLoadProbe {
+    fn on_event(&mut self, _now: SimTime, event: &ObsEvent, ctx: &ObsCtx<'_>) {
+        if matches!(event, ObsEvent::PoolChosen { .. })
+            && ctx.pools.iter().any(|p| {
+                PoolSnapshot::capture(p)
+                    .effective_utilization()
+                    .is_infinite()
+            })
+        {
+            self.choices += 1;
+        }
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+/// Runs Util × ResSusWaitUtil, health-aware, with stochastic faults, the
+/// standard lifecycle model (maintenance drains, a rolling wave, health
+/// cordons, flaky machines) and hardened resilience with evacuation, on
+/// the halved site. Returns the JSONL event stream and how many pool
+/// choices saw an infinitely loaded pool.
+fn record_util_chaos_rswu() -> (String, u64) {
+    let params = ScenarioParams::normal_week(UTIL_CHAOS_SCALE);
+    let mut config = SimConfig::new(InitialKind::UtilizationBased, StrategyKind::ResSusWaitUtil);
+    config.check_invariants = true;
+    config.health_aware = true;
+    config.fault_model = Some(FaultModel::new(
+        SimDuration::from_hours(24),
+        SimDuration::from_hours(4),
+        SimDuration::from_days(8),
+    ));
+    config.lifecycle =
+        Some(LifecycleModel::standard(SimDuration::from_days(7)).with_flaky(0.05, 16));
+    config.resilience = ResiliencePolicy::hardened().with_evacuation();
+    let mut sim = Simulator::new(
+        &params.build_site().halved(),
+        params.generate_trace().to_specs(),
+        config,
+    );
+    sim.attach_observer(Box::new(TraceRecorder::in_memory()));
+    sim.attach_observer(Box::new(InfiniteLoadProbe::default()));
+    let out = sim.run_to_completion();
+    let trace = out
+        .observer::<TraceRecorder>()
+        .expect("recorder attached")
+        .lines()
+        .to_string();
+    let probe = out.observer::<InfiniteLoadProbe>().expect("probe attached");
+    (trace, probe.choices)
+}
+
+#[test]
+fn util_chaos_rswu_trace_matches_golden_fixture() {
+    let (recorded, infinite_choices) = record_util_chaos_rswu();
+    for needle in [
+        "\"ev\":\"machine_down\"",
+        "\"ev\":\"machine_up\"",
+        "\"ev\":\"machine_draining\"",
+        "\"ev\":\"retry_backoff\"",
+        "\"ev\":\"restart_from_wait\"",
+    ] {
+        assert!(
+            recorded.contains(needle),
+            "util chaos cell never recorded {needle}"
+        );
+    }
+    assert!(
+        infinite_choices > 0,
+        "no pool choice saw a pool with running work and no effective capacity"
+    );
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        let path = format!("{}/{UTIL_CHAOS_PATH}", env!("CARGO_MANIFEST_DIR"));
+        fs::write(&path, &recorded).expect("write golden fixture");
+        println!("golden fixture regenerated at {path}");
+        return;
+    }
+    assert_matches_fixture(UTIL_CHAOS_PATH, &recorded, "util chaos");
+}
+
+/// Scale for the utilization-based stale-view fixture (kept under 500 KB).
+const STALE_VIEW_UTIL_SCALE: f64 = 0.009;
+
+/// Fixture for utilization-based routing over a 30-minute stale view: the
+/// scheduler ranks pools by a snapshot that the view refresh rebuilds from
+/// only the pools that changed since it was last taken.
+const STALE_VIEW_UTIL_PATH: &str = "tests/golden/stale_view_util_ressusutil.jsonl";
+
+#[test]
+fn stale_view_util_ressusutil_trace_matches_golden_fixture() {
+    let params = ScenarioParams::normal_week(STALE_VIEW_UTIL_SCALE);
+    let mut config = SimConfig::new(InitialKind::UtilizationBased, StrategyKind::ResSusUtil);
+    config.view_staleness = SimDuration::from_minutes(30);
+    let recorded = record(
+        &params.build_site().halved(),
+        &params.generate_trace(),
+        config,
+    );
+    assert!(
+        recorded.contains("\"ev\":\"restart_from_suspend\""),
+        "the stale-view cell must exercise rescheduling"
+    );
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        let path = format!("{}/{STALE_VIEW_UTIL_PATH}", env!("CARGO_MANIFEST_DIR"));
+        fs::write(&path, &recorded).expect("write golden fixture");
+        println!("golden fixture regenerated at {path}");
+        return;
+    }
+    assert_matches_fixture(STALE_VIEW_UTIL_PATH, &recorded, "stale util view");
 }

@@ -32,6 +32,7 @@
 //! assert_eq!(pool.suspended_count(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ids;

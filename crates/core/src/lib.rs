@@ -29,6 +29,7 @@
 //! println!("suspend rate {:.2}%", result.suspend_rate * 100.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiment;

@@ -497,7 +497,9 @@ impl ObsEvent {
 }
 
 /// Read-only view of the simulator's state, handed to observers alongside
-/// each event.
+/// each event. The streaming backend replays with empty `pools` and
+/// `jobs`: its workers own the pools until the run drains, and it keeps
+/// no dense job table (see [`SimObserver::on_replayed_event`]).
 pub struct ObsCtx<'a> {
     /// The physical pools, in id order.
     pub pools: &'a [PhysicalPool],
@@ -522,22 +524,18 @@ pub trait SimObserver: std::fmt::Debug {
     fn on_run_end(&mut self, _now: SimTime, _ctx: &ObsCtx<'_>) {}
 
     /// Called instead of [`SimObserver::on_event`] when the streaming
-    /// backend replays events buffered during an epoch. Semantically
-    /// identical to `on_event` — same events, same deterministic order —
-    /// but delivered *after* the workers' mutations have all been applied,
-    /// so `ctx` reflects the post-barrier state rather than the state at
-    /// the instant each event fired. Observers that compare a shadow
-    /// model against `ctx` mid-stream would override this to defer those
-    /// comparisons to [`SimObserver::on_settle`]; observers that only read
-    /// the event itself keep the default.
+    /// backend replays events buffered during an epoch: the same events in
+    /// the same deterministic order, delivered at the epoch's barrier
+    /// while later epochs may already be running. `ctx` carries no state —
+    /// its `pools` and `jobs` are empty — so only observers that read the
+    /// event alone can run there; they keep the default.
     fn on_replayed_event(&mut self, now: SimTime, event: &ObsEvent, ctx: &ObsCtx<'_>) {
         self.on_event(now, event, ctx);
     }
 
-    /// Called by the streaming backend once per epoch, after every buffered
-    /// event has been replayed and all barrier state is settled —
-    /// the point at which `ctx`-vs-shadow comparisons deferred from
-    /// [`SimObserver::on_replayed_event`] are valid again.
+    /// Called by the streaming backend once per epoch, after that epoch's
+    /// buffered events have been replayed. `ctx` is the same stateless
+    /// context [`SimObserver::on_replayed_event`] receives.
     fn on_settle(&mut self, _now: SimTime, _ctx: &ObsCtx<'_>) {}
 
     /// Upcast for downcasting out of

@@ -122,13 +122,13 @@ pub struct SimConfig {
     /// flamegraphs. Wall-clock readings are nondeterministic and never
     /// enter deterministic outputs. Off by default (one branch per event).
     pub profile: bool,
-    /// Epoch pipelining on the streaming backend: with no observers
-    /// attached, the coordinator keeps up to two epochs in flight
-    /// (merging epoch N while workers execute N+1) whenever the next
-    /// known minute directly succeeds the last dispatched one. On by
-    /// default; the switch exists so the conformance suite can assert
-    /// pipelined and unpipelined runs are byte-identical. Ignored by
-    /// materialized runs.
+    /// Epoch pipelining on the streaming backend: the coordinator keeps
+    /// up to two epochs in flight (merging epoch N, observer replay
+    /// included, while workers execute N+1) whenever the next known
+    /// minute directly succeeds the last dispatched one and no sample
+    /// tick comes first. On by default; the switch exists so the
+    /// conformance suite can assert pipelined and unpipelined runs are
+    /// byte-identical. Ignored by materialized runs.
     pub stream_pipeline: bool,
     /// Run on the reference binary-heap event queue instead of the
     /// hierarchical timer wheel. The two backends are contractually
@@ -763,7 +763,8 @@ impl Simulator {
     /// use), so peak memory is proportional to the in-flight job count,
     /// not the trace length. The simulator must be constructed with an
     /// **empty** spec list; [`Backend::Serial`] runs one worker,
-    /// [`Backend::Sharded`] one per shard, byte-identically.
+    /// [`Backend::Sharded`] one per shard up to one per pool,
+    /// byte-identically.
     ///
     /// [`SimOutput::jobs`] is populated only when at least one observer
     /// is attached (retaining records would defeat flat memory);
@@ -779,7 +780,7 @@ impl Simulator {
     pub fn run_streaming(self, workload: &netbatch_workload::WorkloadSpec, seed: u64) -> SimOutput {
         let shards = match self.config.backend {
             Backend::Serial => 1,
-            Backend::Sharded { shards } => shards.max(1),
+            Backend::Sharded { shards } => shards,
         };
         crate::streaming::run_streaming(self, workload, seed, shards)
     }
@@ -1978,7 +1979,7 @@ impl Simulator {
     }
 
     fn handle_sample(&mut self, now: SimTime, sched: &mut Scheduler<'_, Ev>) {
-        self.record_sample(now);
+        self.record_sample(now, SampleTotals::of(&self.pools));
         let done = self.counters.completed + self.counters.unrunnable >= self.total_jobs;
         if !done {
             let next = self
@@ -1990,23 +1991,20 @@ impl Simulator {
         }
     }
 
-    /// The sampling body shared by the serial handler and the streaming
-    /// coordinator: emits the observer event and records the Figure-4
+    /// The sampling body shared by the serial handler (totals over
+    /// `self.pools`) and the streaming coordinator (the sum of its shards'
+    /// latest totals): emits the observer event and records the Figure-4
     /// series. Scheduling the next tick is the caller's concern.
-    pub(crate) fn record_sample(&mut self, now: SimTime) {
+    pub(crate) fn record_sample(&mut self, now: SimTime, totals: SampleTotals) {
         self.emit(now, ObsEvent::Sample);
-        let suspended: usize = self.pools.iter().map(PhysicalPool::suspended_count).sum();
-        let waiting: usize = self.pools.iter().map(PhysicalPool::queue_len).sum();
-        let busy: u64 = self.pools.iter().map(|p| u64::from(p.busy_cores())).sum();
-        let total: u64 = self.pools.iter().map(|p| u64::from(p.total_cores())).sum();
-        let util = if total == 0 {
+        let util = if totals.total_cores == 0 {
             0.0
         } else {
-            busy as f64 / total as f64
+            totals.busy_cores as f64 / totals.total_cores as f64
         };
-        self.suspended_series.push(now, suspended as f64);
+        self.suspended_series.push(now, totals.suspended as f64);
         self.utilization_series.push(now, util * 100.0);
-        self.waiting_series.push(now, waiting as f64);
+        self.waiting_series.push(now, totals.waiting as f64);
     }
 
     /// The upcoming sample tick, if sampling is enabled (streaming
@@ -2094,6 +2092,42 @@ impl Handler for Simulator {
             }
         }
         Control::Continue
+    }
+}
+
+/// Site-wide occupancy at a sample tick: what the Figure-4 series are
+/// computed from.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct SampleTotals {
+    suspended: u64,
+    waiting: u64,
+    busy_cores: u64,
+    total_cores: u64,
+}
+
+impl SampleTotals {
+    /// Totals over `pools`.
+    pub(crate) fn of<'a>(pools: impl IntoIterator<Item = &'a PhysicalPool>) -> Self {
+        pools
+            .into_iter()
+            .map(|p| SampleTotals {
+                suspended: p.suspended_count() as u64,
+                waiting: p.queue_len() as u64,
+                busy_cores: u64::from(p.busy_cores()),
+                total_cores: u64::from(p.total_cores()),
+            })
+            .sum()
+    }
+}
+
+impl std::iter::Sum for SampleTotals {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(SampleTotals::default(), |a, b| SampleTotals {
+            suspended: a.suspended + b.suspended,
+            waiting: a.waiting + b.waiting,
+            busy_cores: a.busy_cores + b.busy_cores,
+            total_cores: a.total_cores + b.total_cores,
+        })
     }
 }
 

@@ -21,6 +21,16 @@
 //!   per-pool [`EventQueue`] for completion bookings, so no queue effect
 //!   ever crosses a shard.
 //!
+//! # Ownership
+//!
+//! A run moves the simulator's pools out and hands pool `p` to worker
+//! `p % shards` (at most one worker per pool), which owns it — inside the
+//! pool's lane — until the run drains and the joined workers hand their
+//! pools back, in id order, for the final statistics. The coordinator
+//! therefore never reads pool state during a run: with sampling on, every
+//! epoch result carries its shard's occupancy totals, and the sample
+//! ticks sum the latest totals of every shard.
+//!
 //! # The epoch protocol
 //!
 //! Workers report, per epoch, the minutes their lookahead buffers hold
@@ -30,14 +40,14 @@
 //! submitting at that minute (ascending pool order, so ids match the
 //! materialized trace exactly — see
 //! [`WorkloadSpec::validate_pool_major`]), broadcast the epoch to every
-//! worker, and fold the results back in. With no observers attached the
-//! coordinator may keep up to two epochs in flight (the barrier is
-//! double-buffered): epoch `N+1` is pre-dispatched while `N`'s results
-//! are still outstanding whenever `N+1` is the next known minute and no
-//! sample tick lands at or before it. Pre-dispatch is sound because the
-//! two-minute-deep lookahead means every submission minute is known one
-//! epoch early, completions need no coordinator data at all, and every
-//! worker receives every epoch.
+//! worker, and fold the results back in. The coordinator may keep up to
+//! two epochs in flight (the barrier is double-buffered): epoch `N+1` is
+//! pre-dispatched while `N`'s results are still outstanding whenever
+//! `N+1` is the next known minute and no sample tick lands at or before
+//! it. Pre-dispatch is sound because the two-minute-deep lookahead means
+//! every submission minute is known one epoch early, completions need no
+//! coordinator data at all, every worker receives every epoch, and
+//! neither sampling nor observer replay reads worker state.
 //!
 //! # Canonical order
 //!
@@ -45,7 +55,7 @@
 //! sample tick first (pools quiescent), then per pool ascending: buffered
 //! submissions, then due completions in booking order. This order is
 //! *shard-count independent* (per-pool queues and per-pool emission
-//! merging make the merged sequence identical for 1 or N workers, wheel
+//! ordering make the merged sequence identical for 1 or N workers, wheel
 //! or reference heap, pipelining on or off — the conformance suite
 //! asserts golden traces byte-identical across all of them). It is *not*
 //! the serial backend's global event-id order: cross-pool completion
@@ -62,7 +72,8 @@
 //! `NoRes` + round-robin + zero staleness + no topology, faults,
 //! lifecycle or resilience — plus the streaming-specific contract that
 //! every stream is pinned to one pool in non-decreasing order. Observers
-//! must not index `ctx.jobs` (the run keeps it empty until drain);
+//! must read only the event: the replay context's `pools` and `jobs` are
+//! empty until the run drains.
 //! [`TraceRecorder`](crate::observer::TraceRecorder) and
 //! [`EventCounts`](crate::observer::EventCounts) qualify, the invariant
 //! checker, telemetry and span observers do not and their config switches
@@ -76,7 +87,6 @@ use std::sync::mpsc;
 use netbatch_cluster::ids::{JobId, PoolId};
 use netbatch_cluster::job::{JobPhase, JobRecord};
 use netbatch_cluster::pool::{PhysicalPool, PoolAction, SubmitKind};
-use netbatch_sim_engine::epoch::merge_sorted_runs;
 use netbatch_sim_engine::queue::{EventId, EventQueue};
 use netbatch_sim_engine::time::{SimDuration, SimTime};
 use netbatch_workload::trace::TraceRecord;
@@ -84,7 +94,7 @@ use netbatch_workload::{TraceStream, WorkloadSpec};
 
 use crate::observer::{ObsCtx, ObsEvent};
 use crate::provenance::{COORD_MERGE, PHASE_COMPLETE, PHASE_GENERATE, PHASE_SUBMIT};
-use crate::simulator::{Ev, SimOutput, Simulator};
+use crate::simulator::{Ev, SampleTotals, SimOutput, Simulator};
 
 /// Lookahead depth in generated-but-unsubmitted minutes per pool. Two is
 /// the minimum that lets the coordinator pre-dispatch epoch `N+1` before
@@ -93,7 +103,7 @@ use crate::simulator::{Ev, SimOutput, Simulator};
 /// before it is due.
 const LOOKAHEAD: usize = 2;
 
-/// Maximum epochs in flight when pipelining (no observers attached).
+/// Maximum epochs in flight when pipelining.
 const PIPELINE_DEPTH: usize = 2;
 
 /// Aggregate time worker threads spent priming and executing epochs,
@@ -114,50 +124,12 @@ fn add_worker_busy_nanos(nanos: u64) {
     WORKER_BUSY_NANOS.fetch_add(nanos, Ordering::Relaxed);
 }
 
-/// Raw view into the simulator's pool storage, shipped to workers for
-/// the duration of the in-flight epochs.
-///
-/// # Safety
-///
-/// Streaming workers own their jobs outright; pools are partitioned by
-/// `pool_id % shards`, a worker only touches pools it owns, and the
-/// coordinator touches `sim.pools` only while no epoch is in flight
-/// (sampling and observer replay both require a quiescent barrier).
-#[derive(Clone, Copy)]
-struct PoolArena {
-    pools: *mut PhysicalPool,
-    len: usize,
-}
-
-// SAFETY: see the struct-level contract — disjoint pool ownership,
-// quiescent coordinator, per-element reference derivation.
-unsafe impl Send for PoolArena {}
-
-impl PoolArena {
-    fn of(sim: &mut Simulator) -> Self {
-        PoolArena {
-            pools: sim.pools.as_mut_ptr(),
-            len: sim.pools.len(),
-        }
-    }
-
-    /// # Safety
-    /// Caller must own `id` under the shard partition and hold no other
-    /// live reference to this pool.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn pool(&self, id: PoolId) -> &mut PhysicalPool {
-        debug_assert!(id.as_usize() < self.len);
-        &mut *self.pools.add(id.as_usize())
-    }
-}
-
 /// One epoch's work order, broadcast to every worker.
 struct FlushMsg {
     epoch: SimTime,
     /// Dense job-id base per pool submitting this epoch, ascending pool
     /// order. Pools absent from the list have no buffered minute due.
     bases: Vec<(u16, u64)>,
-    arena: PoolArena,
 }
 
 /// What a worker hands back after each epoch (and once at priming).
@@ -165,9 +137,9 @@ struct EpochResult {
     shard: usize,
     /// `None` for the priming report sent before any epoch runs.
     epoch: Option<SimTime>,
-    /// Buffered observer events keyed by pool id (ascending within the
-    /// run; pools are worker-disjoint, so a k-way merge by pool restores
-    /// the canonical order).
+    /// Buffered observer events keyed by pool id, ascending (each pool's
+    /// events come from its one owning worker, so a stable sort of the
+    /// concatenated shard runs by pool restores the canonical order).
     emissions: Vec<(u32, ObsEvent)>,
     completed: u64,
     suspensions: u64,
@@ -183,11 +155,15 @@ struct EpochResult {
     /// Per-phase `(items, nanos)` self-profile (submit/complete/generate);
     /// zeros when profiling is off.
     profile: [(u64, u64); 3],
+    /// Post-epoch occupancy of this worker's pools; `None` unless
+    /// sampling is on.
+    totals: Option<SampleTotals>,
 }
 
 /// One pool's streaming state inside a worker.
 struct PoolLane<'a> {
-    pool: PoolId,
+    /// The pool itself, owned by this worker for the whole run.
+    pool: PhysicalPool,
     stream: TraceStream<'a>,
     /// Generated-but-unsubmitted minutes, oldest first, at most
     /// [`LOOKAHEAD`] deep.
@@ -211,6 +187,7 @@ struct StreamWorker<'a> {
     retain: bool,
     collect: bool,
     profile: bool,
+    sample: bool,
     actions: Vec<PoolAction>,
     emissions: Vec<(u32, ObsEvent)>,
     completed: u64,
@@ -226,27 +203,30 @@ impl<'a> StreamWorker<'a> {
     #[allow(clippy::too_many_arguments)]
     fn new(
         shard: usize,
-        shards: usize,
+        pools: Vec<PhysicalPool>,
         spec: &'a WorkloadSpec,
         seed: u64,
         pinned: &[u16],
-        pool_count: u16,
         reference_queue: bool,
         retain: bool,
         collect: bool,
         profile: bool,
+        sample: bool,
     ) -> Self {
-        let lanes = (shard..pool_count as usize)
-            .step_by(shards)
-            .map(|p| PoolLane {
-                pool: PoolId(p as u16),
-                stream: TraceStream::filtered(spec, seed, |i| pinned[i] as usize == p),
-                ahead: VecDeque::new(),
-                queue: if reference_queue {
-                    EventQueue::with_reference_heap()
-                } else {
-                    EventQueue::new()
-                },
+        let lanes = pools
+            .into_iter()
+            .map(|pool| {
+                let p = pool.id().as_usize();
+                PoolLane {
+                    pool,
+                    stream: TraceStream::filtered(spec, seed, |i| pinned[i] as usize == p),
+                    ahead: VecDeque::new(),
+                    queue: if reference_queue {
+                        EventQueue::with_reference_heap()
+                    } else {
+                        EventQueue::new()
+                    },
+                }
             })
             .collect();
         StreamWorker {
@@ -257,6 +237,7 @@ impl<'a> StreamWorker<'a> {
             retain,
             collect,
             profile,
+            sample,
             actions: Vec::new(),
             emissions: Vec::new(),
             completed: 0,
@@ -306,10 +287,10 @@ impl<'a> StreamWorker<'a> {
 
     /// Executes one epoch: per owned pool ascending, deliver buffered
     /// submissions, then pop due completions, then refill the lookahead.
-    fn run_epoch(&mut self, epoch: SimTime, bases: &[(u16, u64)], arena: &PoolArena) {
+    fn run_epoch(&mut self, epoch: SimTime, bases: &[(u16, u64)]) {
         let minute = epoch.as_minutes();
         for li in 0..self.lanes.len() {
-            let pool = self.lanes[li].pool;
+            let pool = self.lanes[li].pool.id();
             self.cur_pool = pool.as_usize() as u32;
             if self.lanes[li].ahead.front().map(|&(m, _)| m) == Some(minute) {
                 let (_, records) = self.lanes[li].ahead.pop_front().expect("front checked");
@@ -321,7 +302,7 @@ impl<'a> StreamWorker<'a> {
                 let t0 = self.profile.then(std::time::Instant::now);
                 let n = records.len() as u64;
                 for (k, record) in records.into_iter().enumerate() {
-                    self.run_submit(li, JobId(base + k as u64), record, epoch, arena);
+                    self.run_submit(li, JobId(base + k as u64), record, epoch);
                 }
                 if let Some(t0) = t0 {
                     let cell = &mut self.profile_nanos[PHASE_SUBMIT];
@@ -334,7 +315,7 @@ impl<'a> StreamWorker<'a> {
             let mut popped = 0u64;
             while self.lanes[li].queue.peek_time() == Some(epoch) {
                 let (_, id, job) = self.lanes[li].queue.pop_with_id().expect("time peeked");
-                self.run_complete(li, job, id, epoch, arena);
+                self.run_complete(li, job, id, epoch);
                 popped += 1;
             }
             if let Some(t0) = t0 {
@@ -348,14 +329,7 @@ impl<'a> StreamWorker<'a> {
     /// Mirror of the serial kernel's round-robin submit path, with the record
     /// instantiated here (the spec never existed before this call) and
     /// ineligibility handled in place of the serial give-up.
-    fn run_submit(
-        &mut self,
-        li: usize,
-        id: JobId,
-        record: TraceRecord,
-        now: SimTime,
-        arena: &PoolArena,
-    ) {
+    fn run_submit(&mut self, li: usize, id: JobId, record: TraceRecord, now: SimTime) {
         self.executed += 1;
         self.emit(ObsEvent::Kernel {
             kind: Ev::Submit(id).label(),
@@ -363,11 +337,9 @@ impl<'a> StreamWorker<'a> {
         let mut job = JobRecord::new(record.to_spec(id));
         job.submit(now).expect("streamed submissions fire once");
         self.emit(ObsEvent::Submit { job: id });
-        let pool = self.lanes[li].pool;
-        let resources = job.spec().resources;
-        // SAFETY: `pool` is owned by this worker (PoolArena contract).
-        let pool_ref = unsafe { arena.pool(pool) };
-        if !pool_ref.is_eligible(resources) {
+        let lane = &mut self.lanes[li];
+        let pool = lane.pool.id();
+        if !lane.pool.is_eligible(job.spec().resources) {
             // The serial give-up (unhardened): the job's only candidate
             // pool can never run it. The record parks in Submitted phase.
             self.unrunnable += 1;
@@ -377,7 +349,9 @@ impl<'a> StreamWorker<'a> {
             }
             return;
         }
-        let outcome = pool_ref.submit_into(now, job.spec(), &mut self.actions);
+        let outcome = self.lanes[li]
+            .pool
+            .submit_into(now, job.spec(), &mut self.actions);
         match outcome {
             SubmitKind::Dispatched => {
                 self.emit(ObsEvent::PoolChosen { job: id, pool });
@@ -398,14 +372,7 @@ impl<'a> StreamWorker<'a> {
     /// Mirror of the serial kernel's complete path. No staleness check
     /// is needed: suspensions cancel their booking in the same call, so a
     /// superseded completion never survives in the queue to be delivered.
-    fn run_complete(
-        &mut self,
-        li: usize,
-        job: JobId,
-        delivered: EventId,
-        now: SimTime,
-        arena: &PoolArena,
-    ) {
+    fn run_complete(&mut self, li: usize, job: JobId, delivered: EventId, now: SimTime) {
         self.executed += 1;
         self.emit(ObsEvent::Kernel {
             kind: Ev::Complete(job).label(),
@@ -426,12 +393,9 @@ impl<'a> StreamWorker<'a> {
         rec.complete(now).expect("phase checked running");
         self.completed += 1;
         self.emit(ObsEvent::Complete { job, pool, machine });
-        debug_assert_eq!(
-            pool, self.lanes[li].pool,
-            "jobs never leave their pinned pool"
-        );
-        // SAFETY: `pool` is owned by this worker.
-        let was_running = unsafe { arena.pool(pool) }.release_into(now, job, &mut self.actions);
+        let lane_pool = &mut self.lanes[li].pool;
+        debug_assert_eq!(pool, lane_pool.id(), "jobs never leave their pinned pool");
+        let was_running = lane_pool.release_into(now, job, &mut self.actions);
         assert!(was_running, "running job releases");
         let done = self.jobs.remove(&job).expect("presence checked");
         if self.retain {
@@ -507,7 +471,7 @@ impl<'a> StreamWorker<'a> {
         for lane in &mut self.lanes {
             for (m, records) in &lane.ahead {
                 pending.push((
-                    lane.pool.as_usize() as u16,
+                    lane.pool.id().as_usize() as u16,
                     SimTime::from_minutes(*m),
                     records.len() as u32,
                 ));
@@ -527,7 +491,17 @@ impl<'a> StreamWorker<'a> {
             pending,
             next_local,
             profile: std::mem::take(&mut self.profile_nanos),
+            totals: self
+                .sample
+                .then(|| SampleTotals::of(self.lanes.iter().map(|lane| &lane.pool))),
         }
+    }
+
+    /// Ends the worker: its leftover in-flight jobs, its retained records
+    /// and the pools it owned.
+    fn finish(self) -> (HashMap<JobId, JobRecord>, Vec<JobRecord>, Vec<PhysicalPool>) {
+        let pools = self.lanes.into_iter().map(|lane| lane.pool).collect();
+        (self.jobs, self.finished, pools)
     }
 }
 
@@ -595,10 +569,10 @@ pub(crate) fn run_streaming(
     // runs drop them at completion, which is what keeps memory flat.
     let retain = !sim.observers.is_empty();
     let collect = retain;
-    // Observer replay reads pool state at the barrier, so pipelining
-    // (workers mutating pools while the coordinator replays) is only
-    // sound without observers.
-    let pipeline = sim.config.stream_pipeline && !collect;
+    let pipeline = sim.config.stream_pipeline;
+    let sample = sim.peek_sample_tick().is_some();
+    // A worker without a pool would only round-trip the barriers.
+    let shards = shards.clamp(1, pool_count.max(1));
     let profile_on = sim.profile.is_some();
     if let Some(profile) = sim.profile.as_mut() {
         profile.init_shards(shards);
@@ -606,45 +580,50 @@ pub(crate) fn run_streaming(
     let reference_queue = sim.config.use_reference_queue;
     let spec_ref = workload;
     let pinned_ref = &pinned;
+    let mut owned: Vec<Vec<PhysicalPool>> = (0..shards).map(|_| Vec::new()).collect();
+    for (p, pool) in std::mem::take(&mut sim.pools).into_iter().enumerate() {
+        debug_assert_eq!(pool.id().as_usize(), p, "pools are stored in id order");
+        owned[p % shards].push(pool);
+    }
 
     std::thread::scope(|scope| {
         let (result_tx, result_rx) = mpsc::channel::<EpochResult>();
         let mut work_txs = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
-        for shard in 0..shards {
+        for (shard, pools) in owned.into_iter().enumerate() {
             let (tx, rx) = mpsc::channel::<FlushMsg>();
             work_txs.push(tx);
             let results = result_tx.clone();
             handles.push(scope.spawn(move || {
                 let mut worker = StreamWorker::new(
                     shard,
-                    shards,
+                    pools,
                     spec_ref,
                     seed,
                     pinned_ref,
-                    pool_count as u16,
                     reference_queue,
                     retain,
                     collect,
                     profile_on,
+                    sample,
                 );
                 let t0 = std::time::Instant::now();
                 worker.prime();
                 let primed = worker.epoch_result(None);
                 add_worker_busy_nanos(t0.elapsed().as_nanos() as u64);
                 if results.send(primed).is_err() {
-                    return (worker.jobs, worker.finished);
+                    return worker.finish();
                 }
                 while let Ok(msg) = rx.recv() {
                     let t0 = std::time::Instant::now();
-                    worker.run_epoch(msg.epoch, &msg.bases, &msg.arena);
+                    worker.run_epoch(msg.epoch, &msg.bases);
                     let result = worker.epoch_result(Some(msg.epoch));
                     add_worker_busy_nanos(t0.elapsed().as_nanos() as u64);
                     if results.send(result).is_err() {
                         break;
                     }
                 }
-                (worker.jobs, worker.finished)
+                worker.finish()
             }));
         }
         drop(result_tx);
@@ -656,6 +635,8 @@ pub(crate) fn run_streaming(
         // it and stall the pipeline).
         let mut pend: Vec<VecDeque<(SimTime, u32)>> = vec![VecDeque::new(); pool_count];
         let mut next_local: Vec<Option<SimTime>> = vec![None; shards];
+        // Each shard's occupancy as of its latest folded report.
+        let mut shard_totals: Vec<SampleTotals> = vec![SampleTotals::default(); shards];
         let mut inflight: VecDeque<SimTime> = VecDeque::new();
         let mut stash: Vec<EpochResult> = Vec::new();
         let mut last_dispatched: Option<SimTime> = None;
@@ -681,6 +662,9 @@ pub(crate) fn run_streaming(
                 next_local[r.shard] = r
                     .next_local
                     .filter(|&m| last_dispatched.map_or(true, |l| m > l));
+                if let Some(totals) = r.totals {
+                    shard_totals[r.shard] = totals;
+                }
                 if let Some(profile) = sim.profile.as_mut() {
                     for (phase, &(items, nanos)) in r.profile.iter().enumerate() {
                         profile.record_shard(r.shard, phase, nanos, items);
@@ -701,12 +685,10 @@ pub(crate) fn run_streaming(
                         next_job_id += u64::from(n);
                     }
                 }
-                let arena = PoolArena::of(&mut sim);
                 for tx in &work_txs {
                     tx.send(FlushMsg {
                         epoch: e,
                         bases: bases.clone(),
-                        arena,
                     })
                     .expect("worker alive while coordinator runs");
                 }
@@ -740,7 +722,7 @@ pub(crate) fn run_streaming(
                     // Drained. Mirror the serial run's trailing tick: the
                     // first tick at which the sampler observes completion.
                     if let Some(t) = next_sample {
-                        sim.record_sample(t);
+                        sim.record_sample(t, shard_totals.iter().copied().sum());
                         sim.consume_sample_tick();
                         events += 1;
                         end_time = end_time.max(t);
@@ -749,8 +731,9 @@ pub(crate) fn run_streaming(
                 };
                 if let Some(s) = next_sample {
                     if s <= e {
-                        // Quiescent barrier: safe to read pool state.
-                        sim.record_sample(s);
+                        // Every dispatched epoch is folded, so the
+                        // shards' latest totals are the state at `s`.
+                        sim.record_sample(s, shard_totals.iter().copied().sum());
                         sim.consume_sample_tick();
                         events += 1;
                         end_time = s;
@@ -791,13 +774,11 @@ pub(crate) fn run_streaming(
                 let t0 = profile_on.then(std::time::Instant::now);
                 results.sort_by_key(|r| r.shard);
                 let mut executed = 0u64;
-                let mut emission_runs: Vec<Vec<(u32, ObsEvent)>> = Vec::new();
+                let mut emissions: Vec<(u32, ObsEvent)> = Vec::new();
                 for r in results {
-                    let r = apply_report!(r);
+                    let mut r = apply_report!(r);
                     executed += r.executed;
-                    if collect {
-                        emission_runs.push(r.emissions);
-                    }
+                    emissions.append(&mut r.emissions);
                 }
                 events += executed;
                 if executed > 0 {
@@ -807,11 +788,11 @@ pub(crate) fn run_streaming(
                     end_time = e;
                 }
                 if collect {
-                    debug_assert!(inflight.is_empty(), "replay requires quiescent workers");
-                    let emissions = merge_sorted_runs(emission_runs, |run| run.0);
+                    // Stable: each pool's events keep their worker order.
+                    emissions.sort_by_key(|&(pool, _)| pool);
                     let ctx = ObsCtx {
-                        pools: &sim.pools,
-                        jobs: &sim.jobs,
+                        pools: &[],
+                        jobs: &[],
                         shadows: &sim.shadows,
                     };
                     for obs in &mut sim.observers {
@@ -833,10 +814,12 @@ pub(crate) fn run_streaming(
         drop(work_txs);
         let mut finished: Vec<JobRecord> = Vec::new();
         for handle in handles {
-            let (jobs, mut fin) = handle.join().expect("worker thread panicked");
+            let (jobs, mut fin, mut pools) = handle.join().expect("worker thread panicked");
             assert!(jobs.is_empty(), "a drained run leaves no in-flight jobs");
             finished.append(&mut fin);
+            sim.pools.append(&mut pools);
         }
+        sim.pools.sort_by_key(PhysicalPool::id);
         if retain {
             finished.sort_by_key(JobRecord::id);
             debug_assert_eq!(

@@ -30,6 +30,7 @@
 //! assert!(cdf.at(1100.0) > 0.5);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cdf;

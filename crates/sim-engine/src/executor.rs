@@ -100,10 +100,6 @@ pub enum RunOutcome {
     Drained,
     /// The handler returned [`Control::Stop`].
     Stopped,
-    /// The time horizon was reached with events still pending.
-    HorizonReached,
-    /// The step budget was exhausted with events still pending.
-    StepBudgetExhausted,
 }
 
 /// Summary statistics for a completed run.
@@ -147,20 +143,15 @@ pub struct RunStats {
 pub struct Executor<E> {
     queue: EventQueue<E>,
     now: SimTime,
-    horizon: SimTime,
-    step_budget: u64,
     events_processed: u64,
 }
 
 impl<E> Executor<E> {
-    /// Creates an executor starting at time zero with no horizon or step
-    /// limit.
+    /// Creates an executor starting at time zero.
     pub fn new() -> Self {
         Executor {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
-            horizon: SimTime::MAX,
-            step_budget: u64::MAX,
             events_processed: 0,
         }
     }
@@ -185,20 +176,6 @@ impl<E> Executor<E> {
         }
     }
 
-    /// Sets an inclusive time horizon: events strictly after it are not
-    /// delivered.
-    pub fn with_horizon(mut self, horizon: SimTime) -> Self {
-        self.horizon = horizon;
-        self
-    }
-
-    /// Sets a maximum number of events to deliver across all `run` calls —
-    /// a backstop against accidental event storms.
-    pub fn with_step_budget(mut self, budget: u64) -> Self {
-        self.step_budget = budget;
-        self
-    }
-
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -219,21 +196,12 @@ impl<E> Executor<E> {
         self.queue.schedule(at, event)
     }
 
-    /// Runs the event loop until the queue drains, the handler stops it, or
-    /// a limit is hit.
+    /// Runs the event loop until the queue drains or the handler stops it.
     pub fn run<H: Handler<Event = E>>(&mut self, handler: &mut H) -> RunStats {
         loop {
-            if self.events_processed >= self.step_budget {
-                return self.stats(RunOutcome::StepBudgetExhausted);
-            }
-            let Some(next_time) = self.queue.peek_time() else {
+            let Some((time, event)) = self.queue.pop() else {
                 return self.stats(RunOutcome::Drained);
             };
-            if next_time > self.horizon {
-                self.now = self.horizon;
-                return self.stats(RunOutcome::HorizonReached);
-            }
-            let (time, event) = self.queue.pop().expect("peeked event exists");
             debug_assert!(time >= self.now, "event queue delivered out of order");
             self.now = time;
             self.events_processed += 1;
@@ -324,35 +292,6 @@ mod tests {
         let stats = ex.run(&mut r);
         assert_eq!(stats.outcome, RunOutcome::Stopped);
         assert_eq!(r.seen.len(), 1);
-    }
-
-    #[test]
-    fn horizon_is_inclusive() {
-        let mut ex = Executor::new().with_horizon(SimTime::from_minutes(10));
-        ex.seed_event(SimTime::from_minutes(10), Ev::Tick);
-        ex.seed_event(SimTime::from_minutes(11), Ev::Tick);
-        let mut r = Recorder { seen: vec![] };
-        let stats = ex.run(&mut r);
-        assert_eq!(stats.outcome, RunOutcome::HorizonReached);
-        assert_eq!(r.seen, vec![(10, "tick")]);
-        assert_eq!(stats.end_time, SimTime::from_minutes(10));
-    }
-
-    #[test]
-    fn step_budget_bounds_events() {
-        struct Bomb;
-        impl Handler for Bomb {
-            type Event = ();
-            fn handle(&mut self, _n: SimTime, _e: (), s: &mut Scheduler<'_, ()>) -> Control {
-                s.schedule_in(SimDuration::MINUTE, ());
-                Control::Continue
-            }
-        }
-        let mut ex = Executor::new().with_step_budget(100);
-        ex.seed_event(SimTime::ZERO, ());
-        let stats = ex.run(&mut Bomb);
-        assert_eq!(stats.outcome, RunOutcome::StepBudgetExhausted);
-        assert_eq!(stats.events_processed, 100);
     }
 
     #[test]
@@ -460,25 +399,6 @@ mod tests {
                 let mut delivered: Vec<u32> = h.seen.iter().map(|&(_, e)| e).collect();
                 delivered.sort_unstable();
                 prop_assert_eq!(delivered, (0..times.len() as u32).collect::<Vec<_>>());
-            }
-
-            /// A horizon never lets an event past it through, and the
-            /// executor's clock never exceeds the horizon.
-            #[test]
-            fn prop_horizon_is_respected(
-                times in proptest::collection::vec(0u64..10_000, 1..100),
-                horizon in 0u64..10_000,
-            ) {
-                let mut ex = Executor::new().with_horizon(SimTime::from_minutes(horizon));
-                for (i, &t) in times.iter().enumerate() {
-                    ex.seed_event(SimTime::from_minutes(t), i as u32);
-                }
-                let mut h = Collect { seen: vec![] };
-                let stats = ex.run(&mut h);
-                prop_assert!(h.seen.iter().all(|&(t, _)| t <= horizon));
-                prop_assert!(stats.end_time <= SimTime::from_minutes(horizon));
-                let expected = times.iter().filter(|&&t| t <= horizon).count();
-                prop_assert_eq!(h.seen.len(), expected);
             }
         }
     }

@@ -10,8 +10,8 @@
 //!   metric in the paper is reported in;
 //! * a cancellable, deterministically tie-broken future-event set
 //!   ([`queue::EventQueue`]);
-//! * a driver loop with horizons and step budgets
-//!   ([`executor::Executor`]);
+//! * a driver loop that runs until the queue drains or a handler stops
+//!   it ([`executor::Executor`]);
 //! * per-minute sampling cadence helpers ([`sampler::PeriodicSampler`]),
 //!   mirroring ASCA's "sample each minute, aggregate per 100 minutes"
 //!   methodology;
@@ -55,10 +55,10 @@
 //! assert_eq!(stats.end_time, SimTime::from_minutes(4 * 60));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod epoch;
 pub mod executor;
 pub mod queue;
 pub mod rng;

@@ -32,6 +32,7 @@
 //! assert!(analysis.high_fraction() < 0.5);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;

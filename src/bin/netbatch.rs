@@ -314,6 +314,19 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
             None => Ok(None),
         }
     };
+    // Counts the simulator keeps as u32 parse as u32, so an out-of-range
+    // value is an error rather than a truncation (4294967296 would be 0).
+    let int32 = |name: &str| -> Result<Option<u32>, String> {
+        match get(name) {
+            Some(v) => v.parse().map(Some).map_err(|_| {
+                format!(
+                    "--{name} expects an integer from 0 to {}, got `{v}`",
+                    u32::MAX
+                )
+            }),
+            None => Ok(None),
+        }
+    };
     let fnum = |name: &str| -> Result<Option<f64>, String> {
         match get(name) {
             Some(v) => v
@@ -348,7 +361,7 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
             high_load: has("high-load"),
             restart_overhead: int("restart-overhead")?.unwrap_or(0),
             staleness: int("staleness")?.unwrap_or(0),
-            max_restarts: int("max-restarts")?.map(|v| v as u32),
+            max_restarts: int32("max-restarts")?,
             sample: has("sample"),
             series_out: get("series-out"),
             trace_out: get("trace-out"),
@@ -359,14 +372,14 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
             stats: has("stats"),
             fault_mtbf: fnum("fault-mtbf")?,
             fault_mttr: fnum("fault-mttr")?.unwrap_or(12.0),
-            fault_pool_outages: int("fault-pool-outages")?.unwrap_or(0) as u32,
+            fault_pool_outages: int32("fault-pool-outages")?.unwrap_or(0),
             fault_flaky: fnum("fault-flaky")?.unwrap_or(0.0),
             hardened: has("hardened"),
             lifecycle: has("lifecycle"),
             lifecycle_drain_lead: int("lifecycle-drain-lead")?.unwrap_or(60),
             lifecycle_maintenance_every: fnum("lifecycle-maintenance-every")?.unwrap_or(48.0),
             lifecycle_maintenance_duration: fnum("lifecycle-maintenance-duration")?.unwrap_or(2.0),
-            lifecycle_rolling_waves: int("lifecycle-rolling-waves")?.unwrap_or(1) as u32,
+            lifecycle_rolling_waves: int32("lifecycle-rolling-waves")?.unwrap_or(1),
             lifecycle_rolling_fraction: fnum("lifecycle-rolling-fraction")?.unwrap_or(0.25),
             lifecycle_cordon_below: fnum("lifecycle-cordon-below")?.unwrap_or(0.5),
             health_aware: has("health-aware"),
@@ -1611,6 +1624,32 @@ mod tests {
     #[test]
     fn infinite_scale_is_rejected() {
         assert_scale_rejected("inf");
+    }
+
+    /// `flag` takes a u32 count: 2^32 is rejected with the typed message,
+    /// never truncated, while `u32::MAX` itself still parses.
+    fn assert_u32_count(flag: &str) {
+        let err = parse_args(&args(&format!("simulate --{flag} 4294967296"))).unwrap_err();
+        assert_eq!(
+            err,
+            format!("--{flag} expects an integer from 0 to 4294967295, got `4294967296`")
+        );
+        assert!(parse_args(&args(&format!("simulate --{flag} 4294967295"))).is_ok());
+    }
+
+    #[test]
+    fn max_restarts_beyond_u32_is_rejected() {
+        assert_u32_count("max-restarts");
+    }
+
+    #[test]
+    fn fault_pool_outages_beyond_u32_is_rejected() {
+        assert_u32_count("fault-pool-outages");
+    }
+
+    #[test]
+    fn lifecycle_rolling_waves_beyond_u32_is_rejected() {
+        assert_u32_count("lifecycle-rolling-waves");
     }
 
     #[test]

@@ -41,6 +41,7 @@
 //! # assert_eq!(result.counters.completed, result.total_jobs);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use netbatch_cluster as cluster;

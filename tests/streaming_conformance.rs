@@ -10,13 +10,30 @@
 //!   coincide; only cross-pool interleaving within a minute differs,
 //!   which no per-job record or counter can see);
 //! * epoch **pipelining** is unobservable: with pipelining force-disabled
-//!   the deterministic outputs are identical;
+//!   the deterministic outputs, and an attached recorder's trace, are
+//!   identical;
+//! * a committed fixture pins one sampled cell's trace and Figure-4
+//!   series byte for byte at every worker count, queue backend and
+//!   pipelining setting;
 //! * a year-long horizon streams in bounded state end to end.
+//!
+//! To regenerate the fixture after an *intentional* behaviour change:
+//!
+//! ```text
+//! UPDATE_GOLDEN=1 cargo test --test streaming_conformance
+//! ```
+
+use std::fmt::Write as _;
+use std::fs;
 
 use netbatch::core::observer::TraceRecorder;
 use netbatch::core::policy::{InitialKind, StrategyKind};
 use netbatch::core::simulator::{Backend, SimConfig, SimOutput, Simulator};
+use netbatch::sim_engine::time::SimDuration;
 use netbatch::workload::scenarios::PerPoolParams;
+
+/// Fixture path relative to the crate root.
+const GOLDEN_PATH: &str = "tests/golden/streaming_sampled_8pool.jsonl";
 
 fn base_config(backend: Backend) -> SimConfig {
     let mut config = SimConfig::new(InitialKind::RoundRobin, StrategyKind::NoRes);
@@ -44,6 +61,64 @@ fn run_streaming_traced(p: &PerPoolParams, config: SimConfig) -> (String, SimOut
         .lines()
         .to_string();
     (jsonl, output)
+}
+
+/// The fixture cell: [`params`] with its arrival window cut to 1200
+/// minutes and hourly sampling. That keeps the fixture under 500 KB (the
+/// heavy-tailed drain runs past minute 41000, so per-minute ticks alone
+/// would exceed it) while the bursts still preempt, and the minutes
+/// between ticks are where epochs pipeline.
+fn fixture_params() -> PerPoolParams {
+    let mut p = params();
+    p.horizon = 1_200;
+    p
+}
+
+fn fixture_config(backend: Backend, reference_queue: bool, pipeline: bool) -> SimConfig {
+    let mut config = base_config(backend);
+    config.seed = fixture_params().seed;
+    config.sample_interval = Some(SimDuration::from_minutes(60));
+    config.use_reference_queue = reference_queue;
+    config.stream_pipeline = pipeline;
+    config
+}
+
+/// Fixture text for one run: the recorder's JSONL, then one line per
+/// sample tick with the three Figure-4 series.
+fn render_fixture(jsonl: &str, output: &SimOutput) -> String {
+    let mut out = jsonl.to_string();
+    let suspended = output.suspended_series.samples();
+    let utilization = output.utilization_series.samples();
+    let waiting = output.waiting_series.samples();
+    assert_eq!(suspended.len(), utilization.len());
+    assert_eq!(suspended.len(), waiting.len());
+    for ((&(t, s), &(_, u)), &(_, w)) in suspended.iter().zip(utilization).zip(waiting) {
+        writeln!(
+            out,
+            r#"{{"t":{},"suspended":{s},"utilization":{u},"waiting":{w}}}"#,
+            t.as_minutes()
+        )
+        .expect("write to string");
+    }
+    out
+}
+
+/// Runs the fixture cell under `config` and renders it.
+fn run_fixture_cell(config: SimConfig) -> String {
+    let (jsonl, output) = run_streaming_traced(&fixture_params(), config);
+    render_fixture(&jsonl, &output)
+}
+
+/// The committed fixture; `UPDATE_GOLDEN` rewrites it from the
+/// one-worker, unpipelined cell first.
+fn golden_fixture() -> String {
+    let path = format!("{}/{GOLDEN_PATH}", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        let recorded = run_fixture_cell(fixture_config(Backend::Serial, false, false));
+        fs::write(&path, &recorded).expect("write golden fixture");
+    }
+    fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {path}: {e}; regenerate with UPDATE_GOLDEN=1"))
 }
 
 fn assert_same_trace(reference: &str, other: &str, label: &str) {
@@ -92,6 +167,22 @@ fn streaming_trace_is_shard_count_independent() {
             );
         }
     }
+
+    let fixture = golden_fixture();
+    assert!(
+        fixture.contains(r#""ev":"suspend""#) && fixture.contains(r#""ev":"resume""#),
+        "the fixture cell must preempt and resume"
+    );
+    for shards in [1usize, 2, 4, 20] {
+        for reference_queue in [false, true] {
+            for pipeline in [false, true] {
+                let label =
+                    format!("fixture shards={shards} refq={reference_queue} pipeline={pipeline}");
+                let config = fixture_config(Backend::Sharded { shards }, reference_queue, pipeline);
+                assert_same_trace(&fixture, &run_fixture_cell(config), &label);
+            }
+        }
+    }
 }
 
 /// With sampling off, a streaming run and a materialized serial run are
@@ -131,9 +222,9 @@ fn streaming_matches_materialized_run() {
     }
 }
 
-/// Pipelining only engages on observer-less runs, so its conformance
-/// signal is the deterministic outputs that survive without observers:
-/// counters, end time, pool stats and the sampled series.
+/// Pipelining leaves every deterministic output unchanged: counters, end
+/// time, pool stats and the sampled series of observer-less runs, and the
+/// byte-for-byte trace of a recorder-attached run.
 #[test]
 fn pipelining_is_unobservable() {
     let p = params();
@@ -165,6 +256,37 @@ fn pipelining_is_unobservable() {
         );
         assert!(piped.jobs.is_empty(), "observer-less runs drop records");
     }
+
+    // Hourly ticks leave the minutes in between free to pipeline.
+    let traced = |pipeline: bool, backend: Backend| {
+        run_streaming_traced(&fixture_params(), fixture_config(backend, false, pipeline))
+    };
+    let (reference_jsonl, reference) = traced(false, Backend::Serial);
+    for backend in [Backend::Serial, Backend::Sharded { shards: 4 }] {
+        let (jsonl, piped) = traced(true, backend);
+        assert_same_trace(&reference_jsonl, &jsonl, &format!("{backend:?}: traced"));
+        assert_eq!(
+            reference.jobs, piped.jobs,
+            "{backend:?}: traced job records"
+        );
+        assert_eq!(
+            reference.counters, piped.counters,
+            "{backend:?}: traced counters"
+        );
+    }
+}
+
+/// A worker per pool at most: 20 requested workers on 8 pools run 8,
+/// one profiler lane each beside the coordinator's.
+#[test]
+fn streaming_workers_are_capped_at_the_pool_count() {
+    let p = fixture_params();
+    let mut config = fixture_config(Backend::Sharded { shards: 20 }, false, true);
+    config.profile = true;
+    let output = Simulator::new(&p.build_site(), Vec::new(), config)
+        .run_streaming(&p.build_workload(), p.seed);
+    let profile = output.profile.expect("profiling on");
+    assert_eq!(profile.lane_count(), 1 + usize::from(p.pools));
 }
 
 /// A year-long horizon (the paper's full trace window) streams end to
